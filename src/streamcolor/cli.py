@@ -16,6 +16,7 @@ import json
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .engine import (
     StreamSource,
@@ -39,26 +40,12 @@ from .errors import (
 )
 from .generator import generate_stream
 from .graph import materialize, max_degree, validate_proper
-from .lab.compression import (
-    check_compression_lemma,
-    identity_scheme,
-    parity_scheme,
-    scheme_from_file,
-)
-from .lab.distribution import RandomGraphDistribution
-from .lab.game import (
-    GameSpec,
-    ProductStrategy,
-    StoreAllEdgesAlgorithm,
-    protocol_from_stream,
-    run_game,
-)
-from .lab.lnscaled import LnScaled
-from .lab.schedule import (
-    color_lower_bound,
-    corollary_check,
-)
 from .streamio import dumps_coloring, dumps_stream, read_coloring, read_stream
+
+# the lab is imported inside the lb-* commands only, so that generate,
+# color and verify do not pay for its import
+if TYPE_CHECKING:
+    from .lab.lnscaled import LnScaled
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -292,6 +279,8 @@ def cmd_verify(args) -> int:
 
 
 def _parse_corollary(text: str, n: int):
+    from .lab.schedule import corollary_check
+
     key, _, value = text.partition("=")
     if key == "q":
         try:
@@ -307,6 +296,8 @@ def _parse_corollary(text: str, n: int):
 
 
 def cmd_lb_params(args) -> int:
+    from .lab.schedule import color_lower_bound
+
     try:
         report = color_lower_bound(args.n, args.delta, args.k, args.s)
     except ValueError as exc:
@@ -351,6 +342,14 @@ def cmd_lb_params(args) -> int:
 
 
 def cmd_lb_compress(args) -> int:
+    from .lab.compression import (
+        check_compression_lemma,
+        identity_scheme,
+        parity_scheme,
+        scheme_from_file,
+    )
+    from .lab.distribution import RandomGraphDistribution
+
     sf = _load_stream(args.base)
     base = materialize(sf.n, sf.updates)
     if args.s < 1:
@@ -384,6 +383,14 @@ def cmd_lb_compress(args) -> int:
 
 
 def cmd_lb_game(args) -> int:
+    from .lab.game import (
+        GameSpec,
+        ProductStrategy,
+        StoreAllEdgesAlgorithm,
+        protocol_from_stream,
+        run_game,
+    )
+
     sf = _load_stream(args.input)
     if args.k < 1:
         raise _CliError(EXIT_USAGE, "--k must be at least 1")

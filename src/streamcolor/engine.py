@@ -49,7 +49,7 @@ from .errors import (
 )
 from .graph import Edge, EdgeUpdate, Graph, PartialColoring, greedy_extend
 from .hashfam import HashColorer, basic_family, extension_family
-from .recovery import SparseRecoverySketch
+from .recovery import SparseRecoverySketch, edge_encode_array
 from .streamio import StreamFile, read_stream
 
 
@@ -199,17 +199,31 @@ def _mono_mask(ext_colors: np.ndarray, us, vs) -> np.ndarray:
     return ext_colors[us] == ext_colors[vs]
 
 
-def _same_color_pairs_of(ext_colors: np.ndarray) -> list[Edge]:
-    """All vertex pairs sharing a color under ext_colors (index 0 ignored)."""
-    by_color: dict[int, list[int]] = {}
-    for v in range(1, ext_colors.shape[0]):
-        by_color.setdefault(int(ext_colors[v]), []).append(v)
-    pairs: list[Edge] = []
-    for verts in by_color.values():
-        for i in range(len(verts)):
-            for j in range(i + 1, len(verts)):
-                pairs.append((verts[i], verts[j]))
-    return pairs
+def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
+    """Sorted encodings of all vertex pairs sharing a color under
+    ext_colors (index 0 ignored)."""
+    n = ext_colors.shape[0] - 1
+    # stable sort: each color class lists its vertices in ascending order
+    verts = np.argsort(ext_colors[1:], kind="stable") + 1
+    cuts = np.flatnonzero(np.diff(ext_colors[verts])) + 1
+    parts = [np.empty(0, dtype=np.int64)]
+    for cls in np.split(verts, cuts):
+        if cls.size > 1:
+            i, j = np.triu_indices(cls.size, 1)
+            parts.append(edge_encode_array(cls[i], cls[j], n))
+    return np.sort(np.concatenate(parts))
+
+
+def _incident_pairs_of(marked: np.ndarray) -> np.ndarray:
+    """Sorted encodings of all vertex pairs with a marked endpoint
+    (index 0 ignored)."""
+    n = marked.shape[0] - 1
+    verts = np.flatnonzero(marked)
+    w = np.repeat(verts, n)
+    x = np.tile(np.arange(1, n + 1), verts.size)
+    # a pair of two marked vertices is listed once, from its smaller end
+    keep = ~marked[x] | (w < x)
+    return np.sort(edge_encode_array(w[keep], x[keep], n))
 
 
 def _collect_edges(
@@ -220,7 +234,7 @@ def _collect_edges(
     keep_mask: np.ndarray,
     dynamic: bool,
     sketch_k: int,
-    candidates: list[Edge] | None,
+    candidates: np.ndarray | None,
     report: RunReport,
 ) -> list[Edge]:
     """Storage phase: keep the masked edges directly (insertion-only) or
@@ -379,20 +393,9 @@ def iterative_coloring(
     else:
         us, vs, signs = src.replay_arrays()
     unc_mask = np.zeros(n + 1, dtype=bool)
-    for v in uncolored:
-        unc_mask[v] = True
+    unc_mask[uncolored] = True
     relevant = unc_mask[us] | unc_mask[vs]
-    if dynamic:
-        cands = sorted(
-            {
-                (min(w, x), max(w, x))
-                for w in uncolored
-                for x in range(1, n + 1)
-                if x != w
-            }
-        )
-    else:
-        cands = None
+    cands = _incident_pairs_of(unc_mask) if dynamic else None
     # the final phase stores at most n edges, so the sketch budget is n
     stored = _collect_edges(n, us, vs, signs, relevant, dynamic, n, cands, report)
     if len(stored) > n:

@@ -26,7 +26,11 @@ DEFAULT_RETRY_CAP = 1000
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 
-_POP16 = np.array([bin(i).count("1") for i in range(1 << 16)], dtype=np.uint8)
+_POP16 = (
+    np.unpackbits(np.arange(1 << 16, dtype=">u2").view(np.uint8))
+    .reshape(-1, 16)
+    .sum(axis=1, dtype=np.uint8)
+)
 _FILTER_CHUNK = 1 << 20
 
 

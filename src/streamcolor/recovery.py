@@ -12,17 +12,27 @@ connection polynomial has the survivor encodings as roots.  Decoding
 finds that recurrence (Berlekamp-Massey), extracts the roots, and then
 re-verifies every syndrome; any mismatch raises RecoveryFailedError
 rather than returning an unverified answer.
+
+Field arithmetic runs on int64 arrays for every q < 2^62, i.e. for
+n < 65536; only larger universes fall back to arrays of Python ints.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import OutOfRangeError, RecoveryFailedError, StreamFormatError
 from .graph import Edge, normalize_edge
 from .hashfam import smallest_prime_above
+
+# elements per int64 work block (2 MiB), so temporaries stay small
+_BLOCK_ELEMS = 1 << 18
 
 
 def edge_universe(n: int) -> int:
@@ -32,11 +42,21 @@ def edge_universe(n: int) -> int:
 def edge_encode(u: int, v: int, n: int) -> int:
     """Position of (u, v) in the row-major upper triangle, 1-based."""
     u, v = normalize_edge(u, v)
-    if not 1 <= u <= n and v <= n:
-        raise OutOfRangeError(f"edge ({u}, {v}) outside universe n={n}")
-    if v > n:
+    if not (1 <= u and v <= n):
         raise OutOfRangeError(f"edge ({u}, {v}) outside universe n={n}")
     return (u - 1) * (2 * n - u) // 2 + (v - u)
+
+
+def edge_encode_array(us: np.ndarray, vs: np.ndarray, n: int) -> np.ndarray:
+    """edge_encode over int64 endpoint arrays; a bad pair raises the error
+    edge_encode raises for the first such pair."""
+    lo = np.minimum(us, vs)
+    hi = np.maximum(us, vs)
+    bad = (lo == hi) | (lo < 1) | (hi > n)
+    if bad.any():
+        i = int(np.argmax(bad))
+        edge_encode(int(us[i]), int(vs[i]), n)
+    return (lo - 1) * (2 * n - lo) // 2 + (hi - lo)
 
 
 def edge_decode(x: int, n: int) -> Edge:
@@ -56,6 +76,7 @@ def edge_decode(x: int, n: int) -> Edge:
     return (u, v)
 
 
+@lru_cache(maxsize=64)
 def field_modulus(n: int) -> int:
     """Smallest prime above the square of the edge-universe size."""
     u = edge_universe(n)
@@ -63,25 +84,27 @@ def field_modulus(n: int) -> int:
 
 
 class _Fq:
-    """Vectorized arithmetic mod q with an int64-safe split multiply.
+    """Vectorized arithmetic mod q on int64 for every q < 2^62.
 
-    For q below 2^31 a plain product fits in int64.  Up to 41 bits the
-    multiplier is split as b = hi * 2^shift + lo so both partial products
-    stay under 2^62.  Beyond that, arrays fall back to Python integers.
+    A product a * b is formed by Horner's rule over the limbs of b, each
+    w = 63 - bits(q) bits wide:  r = ((r << w) % q + a * limb % q) % q,
+    so every intermediate stays below 2^63.  The largest b sets the limb
+    count, and one limb (a plain a * b % q) covers every q < 2^31.
+    From q >= 2^62 on, arrays hold Python integers instead.
     """
 
     def __init__(self, q: int):
         self.q = q
         bits = q.bit_length()
-        if 2 * bits <= 62:
-            self.shift = 0
+        if bits <= 62:
+            self.w = 63 - bits
             self.dtype: type | np.dtype = np.int64
-        elif bits <= 41:
-            self.shift = 2 * bits - 62
-            self.dtype = np.int64
+            # values lie in (-q, q), so this many sum inside int64
+            self.sum_chunk = (2**63 - 1) // q
         else:
-            self.shift = -1
+            self.w = 0
             self.dtype = object
+            self.sum_chunk = sys.maxsize
 
     def asarray(self, values) -> np.ndarray:
         return np.array(values, dtype=self.dtype)
@@ -91,53 +114,116 @@ class _Fq:
             return np.array([0] * size, dtype=object)
         return np.zeros(size, dtype=np.int64)
 
+    def split(self, b: np.ndarray) -> list[np.ndarray]:
+        """Limbs of b (entries in [0, q)), most significant first."""
+        if self.dtype is object:
+            return [b]
+        w = self.w
+        top = int(b.max()).bit_length() if b.size else 0
+        count = max(1, -(-top // w))
+        mask = (1 << w) - 1
+        return [b >> (w * (count - 1))] + [
+            (b >> (w * i)) & mask for i in range(count - 2, -1, -1)
+        ]
+
+    def mul_split(self, a, limbs: list[np.ndarray]):
+        """a * b mod q, with b given as split(b); a in [0, q)."""
+        q, w = self.q, self.w
+        r = a * limbs[0] % q
+        for limb in limbs[1:]:
+            r = ((r << w) % q + a * limb % q) % q
+        return r
+
     def mul(self, a, b):
-        q = self.q
-        if self.shift <= 0:
-            return a * b % q
-        mask = (1 << self.shift) - 1
-        hi = b >> self.shift
-        lo = b & mask
-        return ((a * hi % q << self.shift) + a * lo) % q
+        return self.mul_split(a, self.split(np.asarray(b, dtype=self.dtype)))
+
+    def sums(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Sums mod q along `axis` of values in (-q, q), chunked so every
+        partial sum fits in int64."""
+        q, step = self.q, self.sum_chunk
+        v = np.moveaxis(values, axis, 0)
+        total = v[:step].sum(axis=0) % q
+        for lo in range(step, v.shape[0], step):
+            total = (total + v[lo : lo + step].sum(axis=0) % q) % q
+        return total
 
     def sumv(self, values) -> int:
-        if self.dtype is object:
-            return int(sum(values)) % self.q
-        total = 0
-        q = self.q
-        step = 1 << 20  # chunked so partial sums stay inside int64
-        for lo in range(0, values.size, step):
-            total = (total + int(values[lo : lo + step].sum())) % q
-        return total
+        return int(self.sums(np.asarray(values), 0))
+
+    def powers(self, x: np.ndarray, count: int) -> np.ndarray:
+        """Matrix with out[i, j] = x[i]^(j+1) for j < count, by doubling:
+        columns have..2*have-1 are columns 0..have-1 times x^have."""
+        out = np.empty((x.size, count), dtype=self.dtype)
+        out[:, 0] = x
+        have = 1
+        while have < count:
+            step = min(have, count - have)
+            limbs = self.split(out[:, have - 1 : have])
+            out[:, have : have + step] = self.mul_split(out[:, :step], limbs)
+            have += step
+        return out
+
+
+def _power_sums(fq: _Fq, x: np.ndarray, signs: np.ndarray, count: int) -> np.ndarray:
+    """[sum_i signs[i] * x[i]^j mod q for j = 1..count], signs in {1, -1},
+    built in blocks of at most _BLOCK_ELEMS powers."""
+    total = fq.zeros(count)
+    rows = max(1, _BLOCK_ELEMS // count)
+    for lo in range(0, x.size, rows):
+        pw = fq.powers(x[lo : lo + rows], count)
+        total = (total + fq.sums(pw * signs[lo : lo + rows, None], 0)) % fq.q
+    return total
+
+
+def _zero_run(seq: np.ndarray, conn: list[int], start: int, fq: _Fq) -> int:
+    """Number of consecutive positions from `start` whose discrepancy
+    seq[i] + c1*seq[i-1] + ... + cL*seq[i-L] is zero, checked in blocks."""
+    width = len(conn)
+    limbs = fq.split(fq.asarray(conn[::-1]))
+    windows = sliding_window_view(seq, width)  # row r ends at position r + L
+    rows = max(1, _BLOCK_ELEMS // width)
+    pos = start
+    while pos < seq.size:
+        block = windows[pos - width + 1 : pos - width + 1 + rows]
+        nonzero = np.flatnonzero(fq.sums(fq.mul_split(block, limbs), 1))
+        if nonzero.size:
+            return pos - start + int(nonzero[0])
+        pos += block.shape[0]
+    return pos - start
 
 
 def _berlekamp_massey(seq: np.ndarray, fq: _Fq) -> list[int]:
     """Shortest connection polynomial [1, c1..cL] with
-    seq[i] + c1*seq[i-1] + ... + cL*seq[i-L] = 0 for all valid i."""
+    seq[i] + c1*seq[i-1] + ... + cL*seq[i-L] = 0 for all valid i.
+
+    Steps run on Python ints over the current L + 1 coefficients.  The
+    polynomial stays fixed while discrepancies are zero, so after each
+    zero discrepancy the run of zeros ahead is skipped in int64 blocks.
+    """
     q = fq.q
-    c = fq.zeros(len(seq) + 1)
-    b = fq.zeros(len(seq) + 1)
-    c[0] = 1
-    b[0] = 1
+    s = seq.tolist()
+    c, b = [1], [1]
     L, m, bb = 0, 1, 1
-    for i in range(len(seq)):
-        d = int(seq[i])
-        if L > 0:
-            d = (d + fq.sumv(fq.mul(c[1 : L + 1], seq[i - L : i][::-1]))) % q
+    i = 0
+    while i < len(s):
+        d = (s[i] + sum(map(mul, c[1 : L + 1], reversed(s[i - L : i])))) % q
         if d == 0:
-            m += 1
+            conn = (c + [0] * L)[: L + 1]
+            skip = 1 + _zero_run(seq, conn, i + 1, fq)
+            m += skip
+            i += skip
             continue
         coef = d * pow(bb, -1, q) % q
-        # full-width update: b is zero beyond its degree, and the slice
-        # stays shape-consistent even when the shift runs off the end
+        new = c + [0] * (m + len(b) - len(c))
+        for j, bj in enumerate(b):
+            new[m + j] = (new[m + j] - coef * bj) % q
         if 2 * L <= i:
-            t = c.copy()
-            c[m:] = (c[m:] - fq.mul(coef, b[: len(c) - m])) % q
-            L, b, bb, m = i + 1 - L, t, d, 1
+            L, b, bb, m = i + 1 - L, c, d, 1
         else:
-            c[m:] = (c[m:] - fq.mul(coef, b[: len(c) - m])) % q
             m += 1
-    return [int(x) for x in c[: L + 1]]
+        c = new
+        i += 1
+    return (c + [0] * L)[: L + 1]
 
 
 @dataclass
@@ -177,18 +263,10 @@ class SparseRecoverySketch:
         vs = np.asarray(vs, dtype=np.int64)
         if us.size == 0:
             return
-        lo = np.minimum(us, vs)
-        hi = np.maximum(us, vs)
-        enc = (lo - 1) * (2 * self.n - lo) // 2 + (hi - lo)
         fq = self._fq()
-        x = fq.asarray(enc)
-        term = fq.asarray(np.where(signs == 1, 1, self.q - 1))
-        pw = x.copy()
-        syn = self.syndromes
-        for j in range(2 * self.k):
-            syn[j] = (int(syn[j]) + fq.sumv(fq.mul(term, pw))) % self.q
-            if j + 1 < 2 * self.k:
-                pw = fq.mul(pw, x)
+        x = fq.asarray(edge_encode_array(us, vs, self.n))
+        sums = _power_sums(fq, x, np.where(signs == 1, 1, -1), 2 * self.k)
+        self.syndromes[:] = (self.syndromes + sums) % self.q
 
     def merge(self, other: "SparseRecoverySketch") -> "SparseRecoverySketch":
         if (self.n, self.k, self.q) != (other.n, other.k, other.q):
@@ -200,35 +278,31 @@ class SparseRecoverySketch:
     def decode(self, candidates=None) -> list[Edge]:
         """Recover the surviving edge set, sorted by encoding.
 
-        `candidates` optionally restricts root extraction to the given
-        vertex pairs (the caller's superset of possible survivors);
-        default is the full universe.  Every returned set is re-verified
-        against all 2k syndromes; RecoveryFailedError otherwise.
+        `candidates` optionally restricts root extraction to a superset
+        of the possible survivors, given as vertex pairs or as a 1-D
+        array of edge encodings; default is the full universe.  Every
+        returned set is re-verified against all 2k syndromes;
+        RecoveryFailedError otherwise.
         """
         fq = self._fq()
-        if all(int(s) == 0 for s in self.syndromes):
+        if not np.any(self.syndromes):
             return []
         conn = _berlekamp_massey(self.syndromes, fq)
         deg = len(conn) - 1
         if deg == 0:
             raise RecoveryFailedError("nonzero syndromes with empty recurrence")
 
-        if candidates is None:
-            cand_enc = np.arange(1, edge_universe(self.n) + 1, dtype=np.int64)
-        else:
-            seen = sorted(
-                {edge_encode(u, v, self.n) for u, v in candidates}
-            )
-            cand_enc = np.asarray(seen, dtype=np.int64)
-        if cand_enc.size:
-            x = fq.asarray(cand_enc)
+        cand_enc = self._candidate_encodings(candidates)
+        found = []
+        for lo in range(0, cand_enc.size, _BLOCK_ELEMS):
+            block = cand_enc[lo : lo + _BLOCK_ELEMS]
+            limbs = fq.split(fq.asarray(block))
             # reversed connection polynomial has survivor encodings as roots
-            acc = fq.asarray(np.ones(cand_enc.size, dtype=np.int64))
+            acc = fq.asarray(np.ones(block.size, dtype=np.int64))
             for coef in conn[1:]:
-                acc = (fq.mul(acc, x) + coef) % self.q
-            roots = cand_enc[np.asarray(acc == 0)]
-        else:
-            roots = np.array([], dtype=np.int64)
+                acc = (fq.mul_split(acc, limbs) + coef) % self.q
+            found.append(block[np.asarray(acc == 0, dtype=bool)])
+        roots = np.concatenate(found) if found else np.array([], dtype=np.int64)
         if roots.size != deg:
             raise RecoveryFailedError(
                 f"recurrence of order {deg} but {roots.size} roots found"
@@ -236,14 +310,30 @@ class SparseRecoverySketch:
 
         # mandatory verification: power sums of the decoded set must
         # reproduce every stored syndrome
-        x = fq.asarray(roots)
-        pw = x.copy()
-        for j in range(2 * self.k):
-            if fq.sumv(pw) != int(self.syndromes[j]):
-                raise RecoveryFailedError(f"syndrome {j + 1} mismatch after decode")
-            if j + 1 < 2 * self.k:
-                pw = fq.mul(pw, x)
-        return [edge_decode(int(r), self.n) for r in sorted(roots.tolist())]
+        sums = _power_sums(
+            fq, fq.asarray(roots), np.ones(roots.size, dtype=np.int64), 2 * self.k
+        )
+        mismatch = np.flatnonzero(sums != self.syndromes)
+        if mismatch.size:
+            raise RecoveryFailedError(
+                f"syndrome {int(mismatch[0]) + 1} mismatch after decode"
+            )
+        return [edge_decode(int(r), self.n) for r in roots.tolist()]
+
+    def _candidate_encodings(self, candidates) -> np.ndarray:
+        """Sorted unique encodings of `candidates` (see decode)."""
+        universe = edge_universe(self.n)
+        if candidates is None:
+            return np.arange(1, universe + 1, dtype=np.int64)
+        cand = np.asarray(candidates, dtype=np.int64)
+        if cand.ndim == 2:
+            cand = edge_encode_array(cand[:, 0], cand[:, 1], self.n)
+        elif cand.size and not (1 <= cand.min() and cand.max() <= universe):
+            raise OutOfRangeError(f"candidate encodings outside [1, {universe}]")
+        cand = np.sort(cand)
+        first = np.ones(cand.size, dtype=bool)
+        first[1:] = cand[1:] != cand[:-1]
+        return cand[first]
 
     def serialize(self) -> str:
         """Decimal text `k q S_1 ... S_2k`."""

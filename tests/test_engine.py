@@ -2,11 +2,16 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor.engine import (
     StreamSource,
     _ceil_log_3_2,
+    _incident_pairs_of,
+    _same_color_pairs_of,
     iterative_coloring,
     run_dynamic,
     two_pass_coloring,
@@ -15,6 +20,7 @@ from streamcolor.engine import (
 from streamcolor.errors import DegreeViolationError, IllegalUpdateError
 from streamcolor.generator import generate_stream
 from streamcolor.graph import EdgeUpdate, Graph, materialize, max_degree, validate_partial, validate_proper
+from streamcolor.recovery import edge_encode
 from streamcolor.streamio import dumps_coloring
 
 
@@ -31,6 +37,19 @@ def test_ceil_log_examples():
         assert (3**t) >= x * (2**t)
         if t:
             assert 3 ** (t - 1) < x * 2 ** (t - 1)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_candidate_encodings_match_pair_loops(data):
+    n = data.draw(st.integers(min_value=1, max_value=40))
+    colors = [0] + data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    marked = [False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    same = sorted(edge_encode(u, v, n) for u, v in pairs if colors[u] == colors[v])
+    incident = sorted(edge_encode(u, v, n) for u, v in pairs if marked[u] or marked[v])
+    assert _same_color_pairs_of(np.array(colors, dtype=np.int64)).tolist() == same
+    assert _incident_pairs_of(np.array(marked)).tolist() == incident
 
 
 class TestTwoPass:

@@ -49,8 +49,29 @@ def test_family_size_stays_below_twice_n():
 
 
 def test_is_prime_agrees_with_naive():
-    for x in range(0, 400):
+    for x in range(0, 5000):
         assert is_prime(x) == naive_is_prime(x)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [
+        561,  # Carmichael numbers
+        1105,
+        41041,
+        825265,
+        3215031751,  # strong pseudoprime to bases 2, 3, 5 and 7
+        3825123056546413051,  # strong pseudoprime to bases 2..23
+        (2**31 - 1) * (2**61 - 1),
+    ],
+)
+def test_is_prime_rejects_pseudoprimes(x):
+    assert not is_prime(x)
+
+
+@pytest.mark.parametrize("x", [2**31 - 1, 1_000_000_007, 999_999_999_989, 2**61 - 1])
+def test_is_prime_accepts_large_primes(x):
+    assert is_prime(x)
 
 
 def test_basic_family_shape():

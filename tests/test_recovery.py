@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor.errors import OutOfRangeError, RecoveryFailedError, StreamFormatError
-from streamcolor.hashfam import is_prime
+from streamcolor import recovery
+from streamcolor.errors import (
+    EqualVerticesError,
+    OutOfRangeError,
+    RecoveryFailedError,
+    StreamFormatError,
+)
+from streamcolor.hashfam import is_prime, smallest_prime_above
 from streamcolor.recovery import (
     SparseRecoverySketch,
     _Fq,
@@ -48,6 +54,8 @@ def test_encode_decode_range_errors():
     with pytest.raises(OutOfRangeError):
         edge_encode(1, 9, 5)
     with pytest.raises(OutOfRangeError):
+        edge_encode(0, 3, 5)
+    with pytest.raises(OutOfRangeError):
         edge_decode(0, 5)
     with pytest.raises(OutOfRangeError):
         edge_decode(11, 5)
@@ -61,7 +69,19 @@ def test_field_modulus_dominates_universe_square(n):
     assert q > edge_universe(n) ** 2
 
 
-@pytest.mark.parametrize("q", [2, 3, 65521, (1 << 31) - 1, (1 << 40) + 15, (1 << 45) + 59])
+@pytest.mark.parametrize(
+    "q",
+    [
+        2,
+        3,
+        65521,
+        (1 << 31) - 1,
+        (1 << 40) + 15,
+        (1 << 45) + 59,
+        smallest_prime_above(2**50),
+        smallest_prime_above(2**61),  # 62 bits: the largest int64 field
+    ],
+)
 def test_field_multiply_matches_python_ints(q):
     fq = _Fq(q)
     rng = np.random.default_rng(7)
@@ -71,6 +91,16 @@ def test_field_multiply_matches_python_ints(q):
     want = [(int(x) * int(y)) % q for x, y in zip(a, b)]
     assert [int(g) for g in got] == want
     assert fq.sumv(fq.asarray(want)) == sum(want) % q
+
+
+def test_sum_of_many_values_near_a_62_bit_modulus():
+    # 2^20 values near q would overflow one int64 sum at q >= 2^43
+    q = smallest_prime_above(2**61)
+    fq = _Fq(q)
+    assert fq.dtype == np.int64
+    i = np.arange((1 << 20) + 3, dtype=np.int64)
+    values = np.where(i % 3 == 0, -(q - 1 - i), q - 1 - i)
+    assert fq.sumv(values) == sum(values.tolist()) % q
 
 
 def brute_survivors(updates):
@@ -104,6 +134,79 @@ def test_roundtrip_within_budget(data):
     for sign, u, v in ups:
         sketch.update(sign, u, v)
     assert sketch.decode() == brute_survivors(ups)
+
+
+@given(st.data())
+@settings(max_examples=25, deadline=None)
+def test_roundtrip_above_41_bit_field(data):
+    # n >= 1730 puts q above 41 bits; the field stays on int64 there
+    n = data.draw(st.integers(min_value=1730, max_value=2100))
+    k = data.draw(st.integers(min_value=1, max_value=12))
+    pair = (
+        st.tuples(st.integers(1, n), st.integers(1, n))
+        .filter(lambda e: e[0] != e[1])
+        .map(lambda e: (min(e), max(e)))
+    )
+    keep = data.draw(st.lists(pair, max_size=k, unique=True))
+    churn = data.draw(st.lists(pair, max_size=6, unique=True))
+    decoys = data.draw(st.lists(pair, max_size=20))
+    ups = [(1, u, v) for u, v in keep]
+    for u, v in churn:
+        first = -1 if (u, v) in keep else 1
+        ups.append((first, u, v))
+        ups.append((-first, u, v))
+
+    sketch = SparseRecoverySketch.empty(n, k)
+    assert sketch.syndromes.dtype == np.int64
+    for sign, u, v in ups:
+        sketch.update(sign, u, v)
+    want = brute_survivors(ups)
+    cands = keep + churn + decoys
+    assert sketch.decode(candidates=cands) == want
+    encoded = np.array([edge_encode(u, v, n) for u, v in cands], dtype=np.int64)
+    assert sketch.decode(candidates=encoded) == want
+
+
+@pytest.mark.parametrize("block", [1, 7, 1 << 18])
+def test_blocked_arithmetic_matches_python_ints(monkeypatch, block):
+    # block boundaries in power sums, Berlekamp-Massey and root search
+    monkeypatch.setattr(recovery, "_BLOCK_ELEMS", block)
+    n, k = 1800, 9
+    q = field_modulus(n)
+    keep = [(1, 2), (5, 1800), (17, 944), (1799, 1800)]
+    churn = [(3, 4), (5, 1800)]
+    ups = [(1, u, v) for u, v in keep]
+    ups += [(-1, 3, 4), (1, 3, 4), (-1, 5, 1800), (1, 5, 1800)]
+    sketch = SparseRecoverySketch.empty(n, k)
+    sketch.update_batch(
+        np.array([s for s, _, _ in ups]),
+        np.array([u for _, u, _ in ups]),
+        np.array([v for _, _, v in ups]),
+    )
+    want = [
+        sum(s * pow(edge_encode(u, v, n), j, q) for s, u, v in ups) % q
+        for j in range(1, 2 * k + 1)
+    ]
+    assert sketch.syndromes.tolist() == want
+    cands = keep + churn + [(u, u + 1) for u in range(100, 120)]
+    assert sketch.decode(candidates=cands) == brute_survivors(ups)
+
+
+@pytest.mark.parametrize(
+    "cands, error",
+    [
+        ([(1, 2), (3, 11)], OutOfRangeError),
+        ([(0, 2), (1, 2)], OutOfRangeError),
+        ([(1, 2), (4, 4)], EqualVerticesError),
+        (np.array([1, 46], dtype=np.int64), OutOfRangeError),
+        (np.array([0, 1], dtype=np.int64), OutOfRangeError),
+    ],
+)
+def test_candidates_outside_universe_raise(cands, error):
+    sketch = SparseRecoverySketch.empty(10, 2)
+    sketch.update(1, 1, 2)
+    with pytest.raises(error):
+        sketch.decode(candidates=cands)
 
 
 @given(st.data())
@@ -237,3 +340,15 @@ def test_large_field_object_fallback_roundtrip():
         (1, 2),
         (1999, 2000),
     ]
+
+
+def test_object_field_roundtrip_above_62_bits():
+    # n >= 65536 puts q at or above 2^62, the one range left on Python ints
+    n = 70000
+    assert field_modulus(n).bit_length() > 62
+    sketch = SparseRecoverySketch.empty(n, 3)
+    assert sketch.syndromes.dtype == object
+    for sign, u, v in [(1, 1, 2), (1, 69999, 70000), (1, 5, 9), (-1, 5, 9)]:
+        sketch.update(sign, u, v)
+    cands = [(1, 2), (5, 9), (69999, 70000), (3, 40000)]
+    assert sketch.decode(candidates=cands) == [(1, 2), (69999, 70000)]
