@@ -13,8 +13,8 @@ finds that recurrence (Berlekamp-Massey), extracts the roots, and then
 re-verifies every syndrome; any mismatch raises RecoveryFailedError
 rather than returning an unverified answer.
 
-Field arithmetic runs on int64 arrays for every q < 2^62, i.e. for
-n < 65536; only larger universes fall back to arrays of Python ints.
+Field arithmetic runs on int64 arrays for every q < 2^61, i.e. for
+n <= 55109; larger universes use arrays of Python ints (see _Fq).
 """
 
 from __future__ import annotations
@@ -33,6 +33,11 @@ from .hashfam import smallest_prime_above
 
 # elements per int64 work block (2 MiB), so temporaries stay small
 _BLOCK_ELEMS = 1 << 18
+# most limbs per int64 product.  At n = 50000 (61-bit q, 31 limbs) int64
+# update_batch and decode ran in about half the time of Python ints; at
+# n = 60000 (62-bit q, 62 limbs) update_batch tied and peak RSS rose 12 MB,
+# so Python ints take over from there (2-vCPU x86 VM).
+_MAX_LIMBS = 31
 
 
 def edge_universe(n: int) -> int:
@@ -84,25 +89,26 @@ def field_modulus(n: int) -> int:
 
 
 class _Fq:
-    """Vectorized arithmetic mod q on int64 for every q < 2^62.
+    """Vectorized arithmetic mod q, on int64 while that is the faster way.
 
     A product a * b is formed by Horner's rule over the limbs of b, each
-    w = 63 - bits(q) bits wide:  r = ((r << w) % q + a * limb % q) % q,
-    so every intermediate stays below 2^63.  The largest b sets the limb
-    count, and one limb (a plain a * b % q) covers every q < 2^31.
-    From q >= 2^62 on, arrays hold Python integers instead.
+    w = 63 - bits(q) bits wide:  r = ((r << w) + a * limb) % q.  Both
+    terms stay below 2^63, so the step runs on uint64 views of the int64
+    arrays.  The largest b sets the limb count, and one limb (a plain
+    a * b % q) covers every q < 2^31.  The limb count grows as q nears
+    2^62; once a full-size product needs more than _MAX_LIMBS limbs,
+    arrays hold Python integers instead.
     """
 
     def __init__(self, q: int):
         self.q = q
         bits = q.bit_length()
-        if bits <= 62:
-            self.w = 63 - bits
+        self.w = 63 - bits
+        if self.w >= 1 and -(-bits // self.w) <= _MAX_LIMBS:
             self.dtype: type | np.dtype = np.int64
             # values lie in (-q, q), so this many sum inside int64
             self.sum_chunk = (2**63 - 1) // q
         else:
-            self.w = 0
             self.dtype = object
             self.sum_chunk = sys.maxsize
 
@@ -126,16 +132,16 @@ class _Fq:
             (b >> (w * i)) & mask for i in range(count - 2, -1, -1)
         ]
 
-    def mul_split(self, a, limbs: list[np.ndarray]):
+    def mul_split(self, a: np.ndarray, limbs: list[np.ndarray]) -> np.ndarray:
         """a * b mod q, with b given as split(b); a in [0, q)."""
-        q, w = self.q, self.w
-        r = a * limbs[0] % q
+        if self.dtype is object:
+            return a * limbs[0] % self.q
+        q, w = np.uint64(self.q), np.uint64(self.w)
+        a = a.view(np.uint64)
+        r = a * limbs[0].view(np.uint64) % q
         for limb in limbs[1:]:
-            r = ((r << w) % q + a * limb % q) % q
-        return r
-
-    def mul(self, a, b):
-        return self.mul_split(a, self.split(np.asarray(b, dtype=self.dtype)))
+            r = ((r << w) + a * limb.view(np.uint64)) % q
+        return r.view(np.int64)
 
     def sums(self, values: np.ndarray, axis: int) -> np.ndarray:
         """Sums mod q along `axis` of values in (-q, q), chunked so every
@@ -146,9 +152,6 @@ class _Fq:
         for lo in range(step, v.shape[0], step):
             total = (total + v[lo : lo + step].sum(axis=0) % q) % q
         return total
-
-    def sumv(self, values) -> int:
-        return int(self.sums(np.asarray(values), 0))
 
     def powers(self, x: np.ndarray, count: int) -> np.ndarray:
         """Matrix with out[i, j] = x[i]^(j+1) for j < count, by doubling:

@@ -79,7 +79,8 @@ def test_field_modulus_dominates_universe_square(n):
         (1 << 40) + 15,
         (1 << 45) + 59,
         smallest_prime_above(2**50),
-        smallest_prime_above(2**61),  # 62 bits: the largest int64 field
+        (1 << 61) - 1,  # the largest int64 field: 31 limbs of 2 bits
+        smallest_prime_above(2**61),  # 62 bits: Python ints
     ],
 )
 def test_field_multiply_matches_python_ints(q):
@@ -87,20 +88,20 @@ def test_field_multiply_matches_python_ints(q):
     rng = np.random.default_rng(7)
     a = rng.integers(0, q, size=200)
     b = rng.integers(0, q, size=200)
-    got = fq.mul(fq.asarray(a.tolist()), fq.asarray(b.tolist()))
+    got = fq.mul_split(fq.asarray(a.tolist()), fq.split(fq.asarray(b.tolist())))
     want = [(int(x) * int(y)) % q for x, y in zip(a, b)]
     assert [int(g) for g in got] == want
-    assert fq.sumv(fq.asarray(want)) == sum(want) % q
+    assert int(fq.sums(fq.asarray(want), 0)) == sum(want) % q
 
 
-def test_sum_of_many_values_near_a_62_bit_modulus():
+def test_sum_of_many_values_near_the_largest_int64_modulus():
     # 2^20 values near q would overflow one int64 sum at q >= 2^43
-    q = smallest_prime_above(2**61)
+    q = (1 << 61) - 1
     fq = _Fq(q)
     assert fq.dtype == np.int64
     i = np.arange((1 << 20) + 3, dtype=np.int64)
     values = np.where(i % 3 == 0, -(q - 1 - i), q - 1 - i)
-    assert fq.sumv(values) == sum(values.tolist()) % q
+    assert int(fq.sums(values, 0)) == sum(values.tolist()) % q
 
 
 def brute_survivors(updates):
@@ -342,13 +343,14 @@ def test_large_field_object_fallback_roundtrip():
     ]
 
 
-def test_object_field_roundtrip_above_62_bits():
-    # n >= 65536 puts q at or above 2^62, the one range left on Python ints
-    n = 70000
-    assert field_modulus(n).bit_length() > 62
+@pytest.mark.parametrize(
+    "n, dtype", [(55109, np.int64), (55110, object), (70000, object)]
+)
+def test_roundtrip_on_both_sides_of_the_limb_cutover(n, dtype):
+    # q has 61 bits (31 limbs) up to n = 55109 and 62 bits (62 limbs) above
     sketch = SparseRecoverySketch.empty(n, 3)
-    assert sketch.syndromes.dtype == object
-    for sign, u, v in [(1, 1, 2), (1, 69999, 70000), (1, 5, 9), (-1, 5, 9)]:
+    assert sketch.syndromes.dtype == dtype
+    for sign, u, v in [(1, 1, 2), (1, n - 1, n), (1, 5, 9), (-1, 5, 9)]:
         sketch.update(sign, u, v)
-    cands = [(1, 2), (5, 9), (69999, 70000), (3, 40000)]
-    assert sketch.decode(candidates=cands) == [(1, 2), (69999, 70000)]
+    cands = [(1, 2), (5, 9), (n - 1, n), (3, 40000)]
+    assert sketch.decode(candidates=cands) == [(1, 2), (n - 1, n)]
