@@ -5,8 +5,9 @@ Subcommands: ``generate``, ``color``, ``verify`` for the streaming side;
 Every subcommand is deterministic given its flags and ``--seed``; no
 command reads system entropy or the clock.
 
-Exit codes: 0 success, 2 usage or parse failure, 3 declared-degree
-violation, 4 internal budget violation, 5 improper coloring.
+Exit codes: 0 success, 2 usage or parse failure or illegal stream,
+3 declared-degree violation, 4 internal budget violation, 5 improper
+coloring.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .engine import (
 )
 from .errors import (
     DegreeViolationError,
+    IllegalUpdateError,
     ImproperOutputError,
     MonoBudgetExceededError,
     NegativeCounterError,
@@ -226,7 +228,10 @@ def cmd_generate(args) -> int:
 
 def cmd_color(args) -> int:
     sf = _load_stream(args.input)
-    src = StreamSource.from_stream_file(sf)
+    try:
+        src = StreamSource.from_stream_file(sf)
+    except ValueError as exc:  # n < 1: nothing to color
+        raise _CliError(EXIT_USAGE, str(exc))
     if args.unknown_delta:
         report = two_pass_unknown_delta(src, dynamic=args.dynamic)
     else:
@@ -445,6 +450,9 @@ def main(argv=None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except IllegalUpdateError as exc:
+        print(f"illegal stream: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DegreeViolationError as exc:
         print(f"degree violation: {exc}", file=sys.stderr)
         return EXIT_DEGREE

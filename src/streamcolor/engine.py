@@ -46,8 +46,19 @@ from .errors import (
     IllegalUpdateError,
     MonoBudgetExceededError,
     NonTerminationError,
+    TooLargeError,
 )
-from .graph import Edge, EdgeUpdate, Graph, PartialColoring, greedy_extend
+from .graph import (
+    MAX_VERTEX,
+    Edge,
+    EdgeUpdate,
+    Graph,
+    PartialColoring,
+    UpdateView,
+    greedy_extend,
+    legal_final_edges,
+    materialize,
+)
 from .hashfam import HashColorer, basic_family, extension_family
 from .recovery import SparseRecoverySketch, edge_encode_array
 from .streamio import StreamFile, read_stream
@@ -63,11 +74,12 @@ class StreamSource:
     def __init__(self, n: int, updates: Iterable[EdgeUpdate], delta: int | None = None):
         if n < 1:
             raise ValueError("stream needs n >= 1")
+        if n > MAX_VERTEX:
+            # the engine keys edges in int64 and holds arrays indexed by vertex
+            raise TooLargeError(f"n = {n} is above MAX_VERTEX = {MAX_VERTEX}")
         self.n = n
         self.declared_delta = delta
-        self.updates = tuple(
-            u if isinstance(u, EdgeUpdate) else EdgeUpdate(*u) for u in updates
-        )
+        self.updates = UpdateView.of(updates)
         self.replays = 0
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -81,42 +93,34 @@ class StreamSource:
 
     @classmethod
     def from_graph(cls, g: Graph, delta: int | None = None) -> "StreamSource":
-        return cls(g.n, (EdgeUpdate(1, u, v) for u, v in g.edges_sorted()), delta)
+        lo, hi = g.edge_arrays()
+        return cls(g.n, UpdateView(np.ones_like(lo), lo, hi), delta)
 
     def replay(self) -> Iterator[EdgeUpdate]:
         self.replays += 1
         return iter(self.updates)
 
     def replay_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pass, returned as (us, vs, signs) int64 arrays.
+        """One pass, returned as read-only (lo, hi, signs) int64 arrays
+        with lo < hi per update.
 
-        The arrays are cached; the replay is still counted as a pass.
+        The first call checks the stream against the legality rule
+        (`graph.legal_final_edges`) and caches the arrays; every call is
+        counted as a pass.
         """
         self.replays += 1
         if self._arrays is None:
-            m = len(self.updates)
-            us = np.empty(m, dtype=np.int64)
-            vs = np.empty(m, dtype=np.int64)
-            signs = np.empty(m, dtype=np.int64)
-            for i, (sign, u, v) in enumerate(self.updates):
-                if u == v:
-                    raise IllegalUpdateError(f"self loop on vertex {u}")
-                if not (1 <= u <= self.n and 1 <= v <= self.n):
-                    raise IllegalUpdateError(f"vertex outside [1, {self.n}]")
-                if sign not in (1, -1):
-                    raise IllegalUpdateError(f"bad sign {sign}")
-                us[i], vs[i], signs[i] = u, v, sign
+            signs, us, vs = self.updates.signs, self.updates.us, self.updates.vs
             lo = np.minimum(us, vs)
             hi = np.maximum(us, vs)
-            for arr in (lo, hi, signs):
+            legal_final_edges(self.n, signs, lo, hi)
+            for arr in (lo, hi):
                 arr.setflags(write=False)
             self._arrays = (lo, hi, signs)
         return self._arrays
 
     def materialized(self) -> Graph:
         """Final graph after all updates (validates stream legality)."""
-        from .graph import materialize
-
         return materialize(self.n, self.updates)
 
 
@@ -172,11 +176,11 @@ def _degree_array(n: int, us, vs, signs) -> np.ndarray:
 
 
 def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
-    """Read one pass; enforce sign discipline and the degree bound.
+    """Read one pass; enforce stream legality, the stream mode and the
+    degree bound.
 
-    Returns (arrays, true max degree).  Degrees are checked on the
-    final materialized multiset, so dynamic streams may exceed delta
-    transiently.
+    Returns (arrays, true max degree).  Degrees are those of the final
+    graph, so dynamic streams may exceed delta transiently.
     """
     us, vs, signs = src.replay_arrays()
     if not dynamic and bool((signs < 0).any()):
@@ -184,8 +188,6 @@ def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
             "deletions present; insertion-only mode cannot process them"
         )
     deg = _degree_array(src.n, us, vs, signs)
-    if bool((deg < 0).any()):
-        raise IllegalUpdateError("some vertex ends with negative degree")
     true_delta = int(deg.max()) if deg.size else 0
     if delta is not None and true_delta > delta:
         offender = int(np.argmax(deg))
@@ -426,6 +428,10 @@ def two_pass_unknown_delta(src: StreamSource, *, dynamic: bool = False) -> RunRe
     Pass 1 keeps a counter bank per power-of-two palette guess and also
     measures the true max degree; the smallest guess at least that
     degree is committed for pass 2, so the guess is within a factor two.
+
+    The report's `counter_entries` is model space: the p x |grid|
+    counters the streaming algorithm holds in pass 1.  This process
+    materializes only the selected guess's bank of p counters.
     """
     n = src.n
     start_passes = src.replays
@@ -434,8 +440,7 @@ def two_pass_unknown_delta(src: StreamSource, *, dynamic: bool = False) -> RunRe
     (us, vs, signs), true_delta = _first_pass_checks(src, None, dynamic)
     selected = next(g for g in grid if g >= max(true_delta, 1))
     fam = basic_family(n, selected)
-    # one logical bank per grid value is maintained during the pass; only
-    # the selected bank's argmin is consumed, so only it is materialized
+    # only the selected bank's argmin is consumed, so only it is built
     bank = CounterBank.from_arrays(fam, None, us, vs, signs)
     i_star = argmin_counter(bank)
     member = fam.member(i_star)

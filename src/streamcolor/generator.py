@@ -10,7 +10,9 @@ insertion, so replays see one fixed interleaving.
 
 from __future__ import annotations
 
-from .graph import EdgeUpdate, Graph, materialize
+import numpy as np
+
+from .graph import Graph, UpdateView, materialize
 from .prng import SplitMix64
 from .streamio import StreamFile
 
@@ -68,16 +70,17 @@ def generate_stream(
     m = len(inserts)
     delete_count = int(deletion_fraction * m)
     # event keys: insertion i sits at 2i, a deletion draws an odd key
-    # after its insertion; stable sort keeps the draw order on ties
-    events: list[tuple[int, EdgeUpdate]] = [
-        (2 * i, EdgeUpdate(1, u, v)) for i, (u, v) in enumerate(inserts)
-    ]
+    # after its insertion; a stable sort keeps the draw order on ties
+    keys = list(range(0, 2 * m, 2))
+    rows = list(range(m))
     for i in rng.sample_indices(delete_count, m) if delete_count else []:
-        u, v = inserts[i]
-        key = 2 * rng.randint(i + 1, m) - 1
-        events.append((key, EdgeUpdate(-1, u, v)))
-    events.sort(key=lambda kv: kv[0])
-    return StreamFile(n, delta, tuple(upd for _, upd in events))
+        keys.append(2 * rng.randint(i + 1, m) - 1)
+        rows.append(i)
+    order = np.argsort(np.array(keys, dtype=np.int64), kind="stable")
+    pairs = np.array(inserts, dtype=np.int64).reshape(m, 2)
+    pairs = pairs[np.array(rows, dtype=np.int64)[order]]
+    signs = np.where(order < m, 1, -1).astype(np.int64)
+    return StreamFile(n, delta, UpdateView(signs, pairs[:, 0].copy(), pairs[:, 1].copy()))
 
 
 def generate_graph(n: int, delta: int, seed: int, edge_target: int | None = None) -> Graph:

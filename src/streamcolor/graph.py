@@ -3,21 +3,34 @@
 Vertices are the integers 1..n.  Edges are unordered pairs stored as
 normalized tuples (u, v) with u < v.  A partial coloring maps each
 vertex to a color in [1, palette] or to None (unassigned).
+
+An update sequence is held as three int64 arrays (sign, u, v);
+`UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges`
+is the one stream-legality rule: the colorers and `materialize` both
+check streams through it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     EqualVerticesError,
     IllegalUpdateError,
     PaletteExhaustedError,
+    TooLargeError,
     UncoloredVertexError,
 )
 
 Edge = tuple[int, int]
+
+# the largest vertex id whose edges key into one int64:
+# lo * (MAX_VERTEX + 1) + hi < 2^63 for 1 <= lo < hi <= MAX_VERTEX
+MAX_VERTEX = 3037000499
 
 
 class EdgeUpdate(NamedTuple):
@@ -40,10 +53,66 @@ def _check_vertex(v: int, n: int) -> None:
         raise IllegalUpdateError(f"vertex {v} outside [1, {n}]")
 
 
+class UpdateView(SequenceABC):
+    """Read-only `EdgeUpdate` sequence over int64 (sign, u, v) arrays.
+
+    Length and indexing are O(1); iteration builds the tuples as it goes.
+    Equal to any sequence holding the same updates in the same order.
+    """
+
+    __slots__ = ("signs", "us", "vs")
+
+    def __init__(self, signs: np.ndarray, us: np.ndarray, vs: np.ndarray):
+        for arr in (signs, us, vs):
+            arr.setflags(write=False)
+        self.signs = signs
+        self.us = us
+        self.vs = vs
+
+    @classmethod
+    def of(cls, updates: Iterable) -> "UpdateView":
+        """View of `updates`, an UpdateView or an iterable of (sign, u, v)."""
+        if isinstance(updates, cls):
+            return updates
+        rows = [tuple(upd) for upd in updates]
+        try:
+            table = np.array(rows, dtype=np.int64).reshape(len(rows), 3)
+        except OverflowError as exc:
+            raise IllegalUpdateError("update value outside the int64 range") from exc
+        return cls(*(np.ascontiguousarray(col) for col in table.T))
+
+    def __len__(self) -> int:
+        return self.signs.shape[0]
+
+    def __getitem__(self, i: int) -> EdgeUpdate:
+        return EdgeUpdate(int(self.signs[i]), int(self.us[i]), int(self.vs[i]))
+
+    def __iter__(self) -> Iterator[EdgeUpdate]:
+        rows = zip(self.signs.tolist(), self.us.tolist(), self.vs.tolist())
+        return map(EdgeUpdate._make, rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, UpdateView):
+            return (
+                np.array_equal(self.signs, other.signs)
+                and np.array_equal(self.us, other.us)
+                and np.array_equal(self.vs, other.vs)
+            )
+        if isinstance(other, SequenceABC) and not isinstance(other, str):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"UpdateView(m={len(self)})"
+
+
 class Graph:
     """Immutable simple graph on vertices 1..n."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "_edges", "_arrays", "_adj")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -55,8 +124,34 @@ class Graph:
             _check_vertex(e[1], n)
             normalized.add(e)
         self.n = n
-        self.edges: frozenset[Edge] = frozenset(normalized)
+        self._edges: frozenset[Edge] | None = frozenset(normalized)
+        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
         self._adj: list[set[int]] | None = None
+
+    @classmethod
+    def _from_sorted_arrays(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
+        """Graph over distinct in-range edges given as (lo, hi) arrays in
+        sorted order; the edge set is built on first use."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._edges = None
+        g._arrays = (lo, hi)
+        g._adj = None
+        return g
+
+    @property
+    def edges(self) -> frozenset[Edge]:
+        if self._edges is None:
+            lo, hi = self._arrays
+            self._edges = frozenset(zip(lo.tolist(), hi.tolist()))
+        return self._edges
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Edges as (lo, hi) int64 arrays, in sorted order."""
+        if self._arrays is None:
+            pairs = np.array(sorted(self._edges), dtype=np.int64).reshape(-1, 2)
+            self._arrays = (pairs[:, 0].copy(), pairs[:, 1].copy())
+        return self._arrays
 
     def __eq__(self, other) -> bool:
         return (
@@ -73,10 +168,13 @@ class Graph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        if self._arrays is not None:
+            return self._arrays[0].shape[0]
+        return len(self._edges)
 
     def edges_sorted(self) -> list[Edge]:
-        return sorted(self.edges)
+        lo, hi = self.edge_arrays()
+        return list(zip(lo.tolist(), hi.tolist()))
 
     def adjacency(self) -> list[set[int]]:
         """Neighbor sets indexed by vertex (index 0 unused)."""
@@ -110,31 +208,72 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, ((u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)))
 
 
+def legal_final_edges(
+    n: int, signs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The stream-legality rule; returns the final edge set.
+
+    Takes each update (sign, u, v) as sign, lo = min(u, v) and
+    hi = max(u, v).  A stream on vertices 1..n is legal when every update
+    has u != v, both vertices in [1, n] and sign +1 or -1, and every
+    edge's running multiplicity stays in {0, 1}: no duplicate insertion,
+    no deletion of an absent edge.  The first offending update in stream
+    order raises IllegalUpdateError, naming the first of these checks it
+    fails.  The final edges come back as (lo, hi) int64 arrays in sorted
+    order.
+
+    The multiplicity check sorts the updates stably by edge, so that a
+    running sum of signs inside each edge's run is its multiplicity.
+    """
+    bad = (lo == hi) | (lo < 1) | (hi > n) | (np.abs(signs) != 1)
+    first = int(np.argmax(bad)) if bad.any() else len(signs)
+    # updates before the first malformed one decide any earlier violation
+    base = int(hi[:first].max(initial=0)) + 1
+    if base > MAX_VERTEX + 1:
+        raise TooLargeError(f"vertex {base - 1} is above MAX_VERTEX = {MAX_VERTEX}")
+    keys = lo[:first] * base + hi[:first]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    sgn = signs[order]
+    run_start = np.ones(keys.size, dtype=bool)
+    run_start[1:] = keys[1:] != keys[:-1]
+    total = np.cumsum(sgn)
+    # multiplicity: the running sum minus its value before the edge's run
+    run_first = np.maximum.accumulate(np.where(run_start, np.arange(keys.size), 0))
+    mult = total - (total - sgn)[run_first]
+    wrong = (mult < 0) | (mult > 1)
+    if wrong.any():
+        first = int(order[wrong].min())
+    if first < len(signs):
+        _raise_illegal(n, int(signs[first]), int(lo[first]), int(hi[first]))
+    run_end = np.append(run_start[1:], True)
+    final = keys[run_end & (mult == 1)]
+    return final // base, final % base
+
+
+def _raise_illegal(n: int, sign: int, u: int, v: int) -> None:
+    """Raise the error for one update that breaks the legality rule."""
+    if u == v:
+        raise IllegalUpdateError(f"self pair ({u}, {v})")
+    e = normalize_edge(u, v)
+    _check_vertex(e[0], n)
+    _check_vertex(e[1], n)
+    if sign == 1:
+        raise IllegalUpdateError(f"duplicate insertion of {e}")
+    if sign == -1:
+        raise IllegalUpdateError(f"deletion of absent edge {e}")
+    raise IllegalUpdateError(f"bad sign {sign}")
+
+
 def materialize(n: int, updates: Iterable[EdgeUpdate]) -> Graph:
     """Replay a signed update sequence into its final graph.
 
-    Raises IllegalUpdateError on a duplicate insertion, a deletion of an
-    absent edge, a self loop, or an out-of-range vertex.
+    Raises IllegalUpdateError on the first update that breaks the
+    legality rule of `legal_final_edges`.
     """
-    present: set[Edge] = set()
-    for sign, u, v in updates:
-        try:
-            e = normalize_edge(u, v)
-        except EqualVerticesError as exc:
-            raise IllegalUpdateError(str(exc)) from exc
-        _check_vertex(e[0], n)
-        _check_vertex(e[1], n)
-        if sign == 1:
-            if e in present:
-                raise IllegalUpdateError(f"duplicate insertion of {e}")
-            present.add(e)
-        elif sign == -1:
-            if e not in present:
-                raise IllegalUpdateError(f"deletion of absent edge {e}")
-            present.remove(e)
-        else:
-            raise IllegalUpdateError(f"bad sign {sign}")
-    return Graph(n, present)
+    view = UpdateView.of(updates)
+    lo, hi = np.minimum(view.us, view.vs), np.maximum(view.us, view.vs)
+    return Graph._from_sorted_arrays(n, *legal_final_edges(n, view.signs, lo, hi))
 
 
 class PartialColoring:
@@ -213,8 +352,13 @@ class PartialColoring:
 def validate_proper(g: Graph, coloring: PartialColoring) -> list[Edge]:
     """Monochromatic edges of a total coloring, sorted; empty means proper."""
     coloring.require_total()
-    cols = coloring.colors()
-    return sorted(e for e in g.edges if cols[e[0] - 1] == cols[e[1] - 1])
+    try:
+        cols = np.array(coloring.colors(), dtype=np.int64)
+    except OverflowError:  # colors past int64 compare as Python ints
+        cols = np.array(coloring.colors(), dtype=object)
+    lo, hi = g.edge_arrays()
+    mono = cols[lo - 1] == cols[hi - 1]
+    return list(zip(lo[mono].tolist(), hi[mono].tolist()))
 
 
 def validate_partial(g: Graph, coloring: PartialColoring) -> list[Edge]:

@@ -90,7 +90,9 @@ class HashColorer:
     def colors_array(self) -> np.ndarray:
         """Colors of vertices 1..n as int64, index 0 unused (=0)."""
         v = np.arange(self.n + 1, dtype=np.int64)
-        out = ((self.a * v) % self.p) % self.palette + 1
+        # a palette of p or more leaves (a * v) mod p < p unchanged, and
+        # may not fit in int64
+        out = ((self.a * v) % self.p) % min(self.palette, self.p) + 1
         out[0] = 0
         return out
 

@@ -1,8 +1,32 @@
 """Text formats for update streams and colorings.
 
-Stream file: a header line `n <N>`, an optional `delta <D>` line, then
-one update per line, `+ <u> <v>` or `- <u> <v>`.  Blank lines and lines
-starting with `#` are ignored.
+Stream file: UTF-8 text, one item per line.
+
+    header   n <N>              exactly once, before every update
+    degree   delta <D>          at most once, after the header
+    update   + <u> <v>          insert edge {u, v}
+             - <u> <v>          delete edge {u, v}
+    blank or whitespace-only lines, and comments (first non-blank
+    character `#`), are skipped.
+
+Tokens are separated by whitespace; a line may carry leading and
+trailing whitespace.  Lines end at the breaks of `str.splitlines`: LF,
+CRLF, lone CR, VT, FF, FS, GS, RS, NEL (U+0085), LS (U+2028) and PS
+(U+2029).  Every integer is read by `int()` (decimal, an optional sign,
+`_` separators and any Unicode decimal digits) and must lie in the
+signed 64-bit range; N and D must be nonnegative.  Anything else raises
+StreamFormatError, naming the line where there is one.
+
+Parsing checks syntax only.  Whether the updates form a legal stream
+(no self loop, vertices in [1, N], and each edge's multiplicity staying
+in {0, 1}) is the one legality rule, `graph.legal_final_edges`, which
+`color` and `verify` both apply; the CLI exits 2 on any illegal stream.
+
+The parser reads the whole buffer with numpy: lines of the form
+`[+-] <digits> <digits>`, single spaces, at most 18 digits per vertex,
+are decoded in bulk into int64 (sign, u, v) arrays, and empty lines and
+lines starting `#` are dropped.  Every other line goes through the
+per-line rule, which gives the same result.
 
 Coloring file: one line `<vertex> <color>` per vertex, ascending, one
 for every vertex 1..n.  Both writers emit LF endings so output bytes
@@ -13,23 +37,148 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
+
+import numpy as np
 
 from .errors import StreamFormatError
-from .graph import EdgeUpdate, PartialColoring
+from .graph import EdgeUpdate, PartialColoring, UpdateView
 
 
 @dataclass(frozen=True)
 class StreamFile:
+    """A parsed stream; `updates` is an EdgeUpdate view over int64 arrays
+    (any sequence of (sign, u, v) given here is converted to one)."""
+
     n: int
     delta: int | None
-    updates: tuple[EdgeUpdate, ...]
+    updates: UpdateView
+
+    def __post_init__(self):
+        object.__setattr__(self, "updates", UpdateView.of(self.updates))
 
 
-def loads_stream(text: str) -> StreamFile:
+_INT64 = range(-(1 << 63), 1 << 63)
+# line breaks of str.splitlines besides LF and CRLF, in ASCII and UTF-8
+_ASCII_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
+# 18 decimal digits always fit in int64
+_BULK_DIGITS = 18
+_PLUS, _MINUS, _SPACE, _CR, _LF, _ZERO, _HASH = b"+- \r\n0#"
+
+
+def _utf8(data: bytes) -> str:
+    try:
+        return data.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8", "surrogatepass")
+        lineno = len((head + "x").splitlines())
+        raise StreamFormatError(f"line {lineno}: not UTF-8 text") from exc
+
+
+def _digits(buf: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Decimal values of the digit runs buf[first : first + count]."""
+    value = np.zeros(first.shape[0], dtype=np.int64)
+    last = buf.shape[0] - 1
+    for k in range(int(count.max(initial=0))):
+        digit = buf[np.minimum(first + k, last)] - _ZERO
+        value = np.where(k < count, value * 10 + digit, value)
+    return value
+
+
+def _scan(data: bytes):
+    """Split an LF/CRLF buffer into lines and decode the lines
+    `[+-] <digits> <digits>` in bulk.
+
+    Returns their line numbers, int64 (sign, u, v) arrays and the text of
+    the first one, then every other line that is not empty and does not
+    start with `#` as (line number, text).
+    """
+    buf = np.frombuffer(data, dtype=np.uint8)
+    size = buf.shape[0]
+    breaks = np.flatnonzero(buf == _LF)
+    starts = np.concatenate(([0], breaks + 1))
+    ends = np.concatenate((breaks, [size]))
+    if starts[-1] == size:  # a final break ends the last line
+        starts, ends = starts[:-1], ends[:-1]
+    crlf = np.zeros(ends.shape[0], dtype=bool)
+    nonempty = ends > starts
+    crlf[nonempty] = buf[ends[nonempty] - 1] == _CR
+    ends = ends - crlf
+
+    # candidates start with `+ ` or `- ` and hold at least `+ 1 2`
+    cand = np.flatnonzero(ends - starts >= 5)
+    s = starts[cand]
+    keep = ((buf[s] == _PLUS) | (buf[s] == _MINUS)) & (buf[s + 1] == _SPACE)
+    cand, s, e = cand[keep], s[keep], ends[cand[keep]]
+    # positions of the non-digit bytes inside candidate lines only (so
+    # junk or comment lines cost no memory here), then two sentinels.  A
+    # bulk line has its sign at s, a space at s + 1, one space between
+    # the vertices, and no other before its end e.
+    in_cand = np.zeros(starts.shape[0], dtype=bool)
+    in_cand[cand] = True
+    nondigit = buf - _ZERO > 9
+    width = np.diff(starts, append=size)  # each line with its break
+    nondigit &= np.repeat(in_cand, width)
+    nd = np.concatenate((np.flatnonzero(nondigit), [size, size]))
+    j = np.searchsorted(nd, s)
+    mid = nd[j + 2]
+    ulen = mid - s - 2
+    vlen = e - mid - 1
+    ok = (buf[np.minimum(mid, size - 1)] == _SPACE) & (nd[j + 3] >= e)
+    ok &= (ulen >= 1) & (ulen <= _BULK_DIGITS) & (vlen >= 1) & (vlen <= _BULK_DIGITS)
+    bulk_idx = cand[ok]
+    s, mid, ulen, vlen = s[ok], mid[ok], ulen[ok], vlen[ok]
+    bulk = (
+        bulk_idx + 1,
+        np.where(buf[s] == _PLUS, 1, -1).astype(np.int64),
+        _digits(buf, s + 2, ulen),
+        _digits(buf, mid + 1, vlen),
+        data[s[0] : e[ok][0]].decode() if s.size else "",
+    )
+
+    # the per-line rule skips empty lines and lines starting `#` anyway
+    rest = (ends > starts) & (buf[starts] != _HASH)
+    rest[bulk_idx] = False
+    # gathered with their LF or CRLF breaks, the only breaks in `data`
+    text = buf[np.repeat(rest, width)].tobytes().decode("utf-8", "surrogatepass")
+    lines = zip((np.flatnonzero(rest) + 1).tolist(), text.splitlines())
+    return bulk, lines
+
+
+def _int64(token: str) -> int:
+    value = int(token)
+    if value not in _INT64:
+        raise ValueError
+    return value
+
+
+def _parse(data: bytes) -> StreamFile:
+    """The stream parser; see the module docstring for the grammar."""
+    text = None if data.isascii() else _utf8(data)
+    lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
+    other_breaks = _ASCII_BREAKS if text is None else _UTF8_BREAKS
+    if lone_cr or any(b in data for b in other_breaks):
+        # number the lines the way str.splitlines breaks them
+        none = np.empty(0, dtype=np.int64)
+        bulk = (none, none, none, none, "")
+        lines: Iterable[tuple[int, str]] = enumerate(
+            (data.decode() if text is None else text).splitlines(), start=1
+        )
+    else:
+        bulk, lines = _scan(data)
+    bulk_lineno, signs, us, vs, first_text = bulk
+    first_bulk = int(bulk_lineno[0]) if bulk_lineno.size else None
+
+    def cannot_parse(lineno: int, raw: str) -> StreamFormatError:
+        return StreamFormatError(f"line {lineno}: cannot parse {raw!r}")
+
     n: int | None = None
     delta: int | None = None
-    updates: list[EdgeUpdate] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    rows: list[int] = []  # (line number, sign, u, v) of per-line updates
+    for lineno, raw in lines:
+        if n is None and first_bulk is not None and first_bulk < lineno:
+            raise cannot_parse(first_bulk, first_text)
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -38,40 +187,56 @@ def loads_stream(text: str) -> StreamFile:
             if parts[0] == "n":
                 if n is not None or len(parts) != 2:
                     raise ValueError
-                n = int(parts[1])
+                n = _int64(parts[1])
             elif parts[0] == "delta":
                 if delta is not None or n is None or len(parts) != 2:
                     raise ValueError
-                delta = int(parts[1])
+                delta = _int64(parts[1])
             elif parts[0] in ("+", "-"):
                 if n is None or len(parts) != 3:
                     raise ValueError
-                sign = 1 if parts[0] == "+" else -1
-                updates.append(EdgeUpdate(sign, int(parts[1]), int(parts[2])))
+                u, v = int(parts[1]), int(parts[2])
+                if u not in _INT64 or v not in _INT64:
+                    raise ValueError
+                rows += (lineno, 1 if parts[0] == "+" else -1, u, v)
             else:
                 raise ValueError
         except ValueError as exc:
-            raise StreamFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
+            raise cannot_parse(lineno, raw) from exc
     if n is None:
+        if first_bulk is not None:
+            raise cannot_parse(first_bulk, first_text)
         raise StreamFormatError("missing `n <N>` header")
     if n < 0:
         raise StreamFormatError("n must be nonnegative")
     if delta is not None and delta < 0:
         raise StreamFormatError("delta must be nonnegative")
-    return StreamFile(n, delta, tuple(updates))
+    fields = (signs, us, vs)
+    if rows:  # merge the per-line updates into line order
+        extra = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        order = np.argsort(np.concatenate((bulk_lineno, extra[:, 0])))
+        fields = tuple(
+            np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(fields, 1)
+        )
+    return StreamFile(n, delta, UpdateView(*fields))
+
+
+def loads_stream(text: str) -> StreamFile:
+    return _parse(text.encode("utf-8", "surrogatepass"))
 
 
 def dumps_stream(n: int, updates, delta: int | None = None) -> str:
     lines = [f"n {n}"]
     if delta is not None:
         lines.append(f"delta {delta}")
-    for sign, u, v in updates:
+    view = UpdateView.of(updates)
+    for sign, u, v in zip(view.signs.tolist(), view.us.tolist(), view.vs.tolist()):
         lines.append(f"{'+' if sign == 1 else '-'} {u} {v}")
     return "\n".join(lines) + "\n"
 
 
 def read_stream(path: str | Path) -> StreamFile:
-    return loads_stream(Path(path).read_text())
+    return _parse(Path(path).read_bytes())
 
 
 def write_stream(path: str | Path, n: int, updates, delta: int | None = None) -> None:

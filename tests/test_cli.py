@@ -1,8 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from streamcolor.cli import main
 
@@ -328,3 +334,121 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_ILLEGAL_STREAMS = {
+    "self loop": ("n 3\ndelta 2\n+ 1 2\n+ 2 2\n", "self pair (2, 2)"),
+    "out of range": ("n 3\ndelta 2\n+ 1 2\n+ 3 4\n", "vertex 4 outside [1, 3]"),
+    "duplicate": ("n 3\ndelta 2\n+ 1 2\n+ 2 1\n", "duplicate insertion of (1, 2)"),
+    "absent deletion": ("n 3\ndelta 2\n+ 1 2\n- 2 3\n", "deletion of absent edge (2, 3)"),
+}
+_COLOR_FLAGS = [(), ("--alg", "iterative"), ("--unknown-delta",), ("--dynamic",)]
+
+
+@pytest.mark.parametrize("flags", _COLOR_FLAGS)
+@pytest.mark.parametrize("case", sorted(_ILLEGAL_STREAMS))
+def test_illegal_stream_exits_two_from_color_and_verify(tmp_path, capsys, case, flags):
+    text, rule = _ILLEGAL_STREAMS[case]
+    stream = tmp_path / "s.txt"
+    stream.write_text(text)
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("1 1\n2 2\n3 3\n")
+    code, _, err = run(capsys, "color", "--in", str(stream), *flags)
+    assert (code, err) == (2, f"illegal stream: {rule}\n")
+    code, out, err = run(capsys, "verify", "--in", str(stream), "--coloring", str(coloring))
+    assert (code, out, err) == (2, "", f"illegal stream: {rule}\n")
+
+
+def test_deletions_need_dynamic_mode(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 3\ndelta 2\n+ 1 2\n+ 2 3\n- 1 2\n")
+    coloring = tmp_path / "c.txt"
+    code, _, err = run(capsys, "color", "--in", str(stream))
+    assert code == 2
+    assert "insertion-only" in err
+    code, _, _ = run(capsys, "color", "--in", str(stream), "--dynamic", "--out", str(coloring))
+    assert code == 0
+    code, _, _ = run(capsys, "verify", "--in", str(stream), "--coloring", str(coloring))
+    assert code == 0
+
+
+def test_vertex_count_above_max_vertex_exits_two(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 9223372036854775807\ndelta 1\n+ 1 2\n")
+    for flags in _COLOR_FLAGS:
+        code, _, err = run(capsys, "color", "--in", str(stream), *flags)
+        assert (code, err) == (2, "error: n = 9223372036854775807 is above MAX_VERTEX = 3037000499\n")
+
+
+def test_empty_vertex_set_exits_two(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 0\ndelta 0\n")
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("1 1\n")
+    for flags in _COLOR_FLAGS:
+        code, _, err = run(capsys, "color", "--in", str(stream), *flags)
+        assert (code, err) == (2, "error: stream needs n >= 1\n")
+    code, _, err = run(capsys, "verify", "--in", str(stream), "--coloring", str(coloring))
+    assert code == 2
+    assert "stream has 0" in err
+
+
+_fuzz_vertex = st.one_of(
+    st.integers(min_value=0, max_value=6).map(str),
+    st.sampled_from(["-1", "٣", "0_2", "9223372036854775807", "9223372036854775809"]),
+)
+_fuzz_update = st.tuples(
+    st.sampled_from(["+", "+", "+", "-"]),
+    st.integers(min_value=1, max_value=8).map(str),
+    st.integers(min_value=1, max_value=8).map(str),
+).map(" ".join)
+_fuzz_other = st.one_of(
+    st.tuples(st.sampled_from(["+", "-", "*"]), _fuzz_vertex, _fuzz_vertex).map(" ".join),
+    st.sampled_from(["n", "delta"]).flatmap(
+        lambda key: st.one_of(
+            st.integers(min_value=-1, max_value=7),
+            st.sampled_from([2**62, 2**63 - 1, 2**63, 10**30]),
+        ).map(lambda x: f"{key} {x}")
+    ),
+    st.sampled_from(["", "# note", "\t+\t1\t2 ", "+ 1", "n"]),
+)
+# five in six lines are well-formed updates on vertices 1..8
+_fuzz_line = st.integers(0, 5).flatmap(lambda k: _fuzz_update if k else _fuzz_other)
+
+
+@st.composite
+def _fuzz_stream(draw):
+    head = draw(st.sampled_from([["n 8", "delta 7"]] * 3 + [["n 8"], []]))
+    lines = head + draw(st.lists(_fuzz_line, max_size=10))
+    data = bytearray(draw(st.sampled_from(["\n", "\r\n"])).join(lines).encode())
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):  # byte mutations
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.one_of(st.sampled_from([b" ", b"\t", b"\r", b"\n", b"#", b"1", b"-"]),
+                              st.binary(min_size=1, max_size=1)))
+        op = draw(st.sampled_from(["insert", "replace", "delete"]))
+        if op == "insert" or at == len(data):
+            data[at:at] = byte
+        elif op == "replace":
+            data[at : at + 1] = byte
+        else:
+            del data[at]
+    return bytes(data)
+
+
+@given(_fuzz_stream(), st.sampled_from(_COLOR_FLAGS))
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_streams_exit_with_documented_codes(data, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        stream = Path(tmp, "s.txt")
+        stream.write_bytes(data)
+        colors = Path(tmp, "c.txt")
+        fixed = Path(tmp, "fixed.txt")
+        fixed.write_text("".join(f"{v} {v}\n" for v in range(1, 9)))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["color", "--in", str(stream), *flags, "--out", str(colors)])
+            assert code in (0, 2, 3, 4, 5)
+            if code == 0:
+                # a stream color accepts is legal for verify, and colored properly
+                assert main(["verify", "--in", str(stream), "--coloring", str(colors)]) == 0
+            code = main(["verify", "--in", str(stream), "--coloring", str(fixed)])
+            assert code in (0, 2, 3, 4, 5)

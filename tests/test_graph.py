@@ -1,5 +1,6 @@
 """Tests for graphs, updates, colorings, and the greedy extender."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,15 +9,18 @@ from streamcolor.errors import (
     EqualVerticesError,
     IllegalUpdateError,
     PaletteExhaustedError,
+    TooLargeError,
     UncoloredVertexError,
 )
 from streamcolor.graph import (
+    MAX_VERTEX,
     EdgeUpdate,
     Graph,
     PartialColoring,
     color_classes,
     complete_graph,
     greedy_extend,
+    legal_final_edges,
     materialize,
     max_degree,
     normalize_edge,
@@ -104,6 +108,97 @@ def test_materialize_order_of_independent_edges_is_irrelevant(n, data):
     fwd = [EdgeUpdate(1, u, v) for u, v in edges]
     rev = list(reversed(fwd))
     assert materialize(n, fwd) == materialize(n, rev)
+
+
+def _materialize_loop(n, updates):
+    """The update-by-update replay that `materialize` used before the
+    sort-based legality rule, kept as its reference."""
+    present = set()
+    for sign, u, v in updates:
+        try:
+            e = normalize_edge(u, v)
+        except EqualVerticesError as exc:
+            raise IllegalUpdateError(str(exc)) from exc
+        for w in e:
+            if not 1 <= w <= n:
+                raise IllegalUpdateError(f"vertex {w} outside [1, {n}]")
+        if sign == 1:
+            if e in present:
+                raise IllegalUpdateError(f"duplicate insertion of {e}")
+            present.add(e)
+        elif sign == -1:
+            if e not in present:
+                raise IllegalUpdateError(f"deletion of absent edge {e}")
+            present.remove(e)
+        else:
+            raise IllegalUpdateError(f"bad sign {sign}")
+    return sorted(present)
+
+
+_any_update = st.tuples(
+    st.sampled_from([1, 1, 1, -1, -1, 0, 2]),
+    st.integers(min_value=-1, max_value=6),
+    st.integers(min_value=-1, max_value=6),
+)
+
+
+@given(st.integers(min_value=0, max_value=5), st.lists(_any_update, max_size=25))
+@settings(max_examples=400)
+def test_legality_rule_matches_sequential_replay(n, raw):
+    ups = [EdgeUpdate(*t) for t in raw]
+    try:
+        expected = _materialize_loop(n, ups)
+    except IllegalUpdateError as exc:
+        with pytest.raises(IllegalUpdateError) as got:
+            materialize(n, ups)
+        assert str(got.value) == str(exc)
+        sgn, us, vs = (np.array(c, dtype=np.int64) for c in zip(*raw))
+        with pytest.raises(IllegalUpdateError) as got:
+            legal_final_edges(n, sgn, np.minimum(us, vs), np.maximum(us, vs))
+        assert str(got.value) == str(exc)
+        return
+    g = materialize(n, ups)
+    assert g.edges_sorted() == expected
+    assert g.edges == frozenset(expected)
+    assert g.m == len(expected)
+
+
+@given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=100)
+def test_legality_rule_on_legal_dynamic_streams(n, data):
+    # legal streams of insertions and deletions, with edges reinserted
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    present, ups = set(), []
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=30)):
+        sign = -1 if (u, v) in present else 1
+        (present.discard if sign < 0 else present.add)((u, v))
+        ups.append(EdgeUpdate(sign, *data.draw(st.sampled_from([(u, v), (v, u)]))))
+    assert materialize(n, ups).edges_sorted() == sorted(present)
+
+
+def test_legality_rule_reports_first_offender_in_stream_order():
+    # the duplicate of (1, 2) at index 2 comes before the self loop at 3
+    ups = [EdgeUpdate(1, 1, 2), EdgeUpdate(1, 3, 4), EdgeUpdate(1, 2, 1), EdgeUpdate(1, 4, 4)]
+    with pytest.raises(IllegalUpdateError, match=r"^duplicate insertion of \(1, 2\)$"):
+        materialize(4, ups)
+    with pytest.raises(IllegalUpdateError, match=r"^self pair \(4, 4\)$"):
+        materialize(4, ups[1:])
+
+
+def test_legality_rule_keys_vertex_ids_up_to_max_vertex():
+    top = MAX_VERTEX
+    # the largest key, of the edge (top - 1, top), fits; one more vertex would not
+    assert (top - 1) * (top + 1) + top < 2**63 <= top * (top + 2) + top + 1
+    g = materialize(top, [EdgeUpdate(1, top, top - 1), EdgeUpdate(1, 1, top)])
+    assert g.edges_sorted() == [(1, top), (top - 1, top)]
+    with pytest.raises(TooLargeError):
+        materialize(top + 1, [EdgeUpdate(1, 1, top + 1)])
+
+
+def test_validate_proper_colors_beyond_int64():
+    g = Graph(3, [(1, 2), (2, 3)])
+    c = PartialColoring(3, 2**70, [2**70, 2**70, 1])
+    assert validate_proper(g, c) == [(1, 2)]
 
 
 def test_partial_coloring_accessors():

@@ -330,7 +330,9 @@ def test_sketch_update_is_pure():
 
 
 def test_large_field_object_fallback_roundtrip():
-    # n = 2000 pushes q past the int64-safe split threshold
+    # despite the name, n = 2000 runs the int64 limb multiply: q is above
+    # 41 bits, where a single int64 product would overflow; the object
+    # field starts at n = 55110 (see the limb-cutover test below)
     n = 2000
     q = field_modulus(n)
     assert q.bit_length() > 41

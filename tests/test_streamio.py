@@ -1,7 +1,10 @@
 """Round-trip and validation tests for the text stream / coloring formats."""
 
+import re
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from streamcolor.errors import StreamFormatError
@@ -145,3 +148,154 @@ def test_loads_coloring_rejects_malformed(text):
 def test_coloring_roundtrip_property(colors):
     c = PartialColoring(len(colors), max(colors), colors)
     assert loads_coloring(dumps_coloring(c)).colors() == c.colors()
+
+
+def _loads_stream_per_line(text: str):
+    """The per-line stream parser as it stood before the bulk scan, kept
+    as the oracle for `loads_stream`; returns (n, delta, updates)."""
+    n = None
+    delta = None
+    updates = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        try:
+            if parts[0] == "n":
+                if n is not None or len(parts) != 2:
+                    raise ValueError
+                n = int(parts[1])
+            elif parts[0] == "delta":
+                if delta is not None or n is None or len(parts) != 2:
+                    raise ValueError
+                delta = int(parts[1])
+            elif parts[0] in ("+", "-"):
+                if n is None or len(parts) != 3:
+                    raise ValueError
+                sign = 1 if parts[0] == "+" else -1
+                updates.append(EdgeUpdate(sign, int(parts[1]), int(parts[2])))
+            else:
+                raise ValueError
+        except ValueError as exc:
+            raise StreamFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
+    if n is None:
+        raise StreamFormatError("missing `n <N>` header")
+    if n < 0:
+        raise StreamFormatError("n must be nonnegative")
+    if delta is not None and delta < 0:
+        raise StreamFormatError("delta must be nonnegative")
+    return n, delta, tuple(updates)
+
+
+_token = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    st.integers(min_value=0, max_value=2**62).map(str),
+    st.sampled_from(["007", "+4", "-2", "1_0", "٣", "१२", "x", "", "n", "delta", "#"]),
+)
+_line = st.one_of(
+    st.tuples(st.sampled_from(["+", "-"]), _token, _token).map(" ".join),
+    st.tuples(st.sampled_from(["n", "delta"]), _token).map(" ".join),
+    st.lists(_token, max_size=4).map(" ".join),
+    st.sampled_from(
+        ["", "   ", "# note", "\t# tab note", "+\t1\t2", " + 1 2 ", "+  1 2", "+  3", "- 3 ", "+1 2"]
+    ),
+    st.text(max_size=6),
+)
+_update_line = st.tuples(
+    st.sampled_from(["+", "-"]),
+    st.integers(min_value=0, max_value=12).map(str),
+    st.integers(min_value=0, max_value=12).map(str),
+).map(" ".join)
+_break = st.sampled_from(["\n", "\r\n", "\r", "\x0b", " ", "\x85"])
+
+
+@st.composite
+def _stream_texts(draw):
+    # four in five lines are well-formed updates
+    kinds = st.integers(0, 4).flatmap(lambda k: _update_line if k else _line)
+    lines = draw(st.lists(kinds, max_size=12))
+    where = draw(st.sampled_from(["top", "top", "top", "anywhere", "none"]))
+    if where != "none":
+        at = 0 if where == "top" else draw(st.integers(0, len(lines)))
+        lines.insert(at, "n 9")
+    breaks = draw(st.lists(_break, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):  # mostly plain LF, which takes the bulk scan
+        breaks = ["\n"] * len(lines)
+    text = "".join(a + b for a, b in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+@given(_stream_texts())
+@example("n 3\n+  34\n+ 1 2\n")
+@example("n 3\r\n+ 1 2\r\n- 1 2\r\n+ 2 3 \r\n+ 2 x\r\n")
+@example("# c\n+ 1 2\nn 3\n")
+@example("n 3\n+ 1 2\n+ 1 2 3\n+ 0002 3")
+@example("#c\r\n\r\n n 9\r\n#\r\n + 1 2 \r\n\t# t\r\n+ 2 3\r\n #\r\n")
+@settings(max_examples=400, deadline=None)
+def test_bulk_parser_matches_per_line_oracle(text):
+    # integers beyond the signed 64-bit range are a parse error now
+    assume(not re.search(r"[\d_]{19,}", text))
+    try:
+        expected = _loads_stream_per_line(text)
+    except StreamFormatError as exc:
+        with pytest.raises(StreamFormatError) as got:
+            loads_stream(text)
+        assert str(got.value) == str(exc)
+        return
+    sf = loads_stream(text)
+    assert (sf.n, sf.delta, tuple(sf.updates)) == expected
+    assert len(sf.updates) == len(expected[2])
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n 9223372036854775808\n", "line 1: cannot parse 'n 9223372036854775808'"),
+        ("n 3\ndelta 99999999999999999999\n", "line 2: cannot parse 'delta 99999999999999999999'"),
+        ("n 3\n+ 1 9223372036854775808\n", "line 2: cannot parse '+ 1 9223372036854775808'"),
+        ("n 3\n- -9223372036854775809 2\n", "line 2: cannot parse '- -9223372036854775809 2'"),
+    ],
+)
+def test_integers_must_fit_int64(text, message):
+    with pytest.raises(StreamFormatError) as got:
+        loads_stream(text)
+    assert str(got.value) == message
+
+
+def test_int64_extremes_parse():
+    sf = loads_stream("n 9223372036854775807\n+ 1 9223372036854775807\n- -9223372036854775808 1\n")
+    assert tuple(sf.updates) == (
+        EdgeUpdate(1, 1, 2**63 - 1),
+        EdgeUpdate(-1, -(2**63), 1),
+    )
+
+
+def test_update_before_header_names_its_line():
+    with pytest.raises(StreamFormatError, match=r"^line 2: cannot parse '\+ 007 2'$"):
+        loads_stream("# c\n+ 007 2\nn 3\n")
+
+
+def test_crlf_and_mixed_lines(tmp_path):
+    text = "n 4\r\ndelta 2\r\n+ 1 2\r\n+\t3 4\r\n\r\n- 1 2\r\n"
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    expected = StreamFile(
+        4, 2, (EdgeUpdate(1, 1, 2), EdgeUpdate(1, 3, 4), EdgeUpdate(-1, 1, 2))
+    )
+    assert read_stream(path) == loads_stream(text) == expected
+
+
+def test_invalid_utf8_is_a_format_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"n 3\n+ 1 2\n# \xff\n")
+    with pytest.raises(StreamFormatError, match="^line 3: not UTF-8 text$"):
+        read_stream(path)
+
+
+def test_updates_view_is_sized_and_indexed():
+    sf = loads_stream(SAMPLE)
+    assert len(sf.updates) == 4
+    assert sf.updates[2] == EdgeUpdate(-1, 1, 2)
+    assert sf.updates.signs.dtype == np.int64
+    assert not sf.updates.us.flags.writeable
