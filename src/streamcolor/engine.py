@@ -19,12 +19,15 @@ most delta:
 * two_pass_unknown_delta: like two_pass_coloring but pass 1 also
   measures the true max degree and maintains a counter bank per
   power-of-two palette guess, then commits to the smallest guess that
-  is at least the true degree.
+  is at least the true degree.  Both two-pass entry points run one
+  body, `_two_pass`.
 
-Dynamic streams (insertions and deletions) replace each "store edges"
-phase with a deterministic sparse-recovery sketch; decoded edge sets
-equal what an insertion-only run on the final graph would store, so
-outputs are identical byte for byte.
+Every "store edges" phase (two-pass pass 2, each iterative round's
+pass B, the iterative final pass) is one routine, `_stored_subgraph`.
+Dynamic streams (insertions and deletions) store through a
+deterministic sparse-recovery sketch there; decoded edge sets equal
+what an insertion-only run on the final graph would store, so outputs
+are identical byte for byte.
 
 A pass is one replay of the stream; the StreamSource counts replays so
 reports cannot misstate pass usage.  Space accounting in reports covers
@@ -35,12 +38,11 @@ elements, plus the O(n) color and degree arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .counters import CounterBank, argmin_counter, base_color_array
+from .counters import CounterBank, argmin_counter
 from .errors import (
     DegreeViolationError,
     IllegalUpdateError,
@@ -50,55 +52,44 @@ from .errors import (
 )
 from .graph import (
     MAX_VERTEX,
-    Edge,
     EdgeUpdate,
     Graph,
     PartialColoring,
     UpdateView,
     greedy_extend,
     legal_final_edges,
-    materialize,
 )
-from .hashfam import HashColorer, basic_family, extension_family
+from .hashfam import basic_family, extension_family
 from .recovery import SparseRecoverySketch, edge_encode_array
-from .streamio import StreamFile, read_stream
+from .streamio import StreamFile
 
 
 class StreamSource:
-    """Replayable edge-update sequence with declared n and optional delta.
+    """Replayable edge-update sequence with declared n.
 
     Every replay yields the identical sequence.  `replays` counts how
     many passes have been taken over the source.
     """
 
-    def __init__(self, n: int, updates: Iterable[EdgeUpdate], delta: int | None = None):
+    def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
         if n < 1:
             raise ValueError("stream needs n >= 1")
         if n > MAX_VERTEX:
             # the engine keys edges in int64 and holds arrays indexed by vertex
             raise TooLargeError(f"n = {n} is above MAX_VERTEX = {MAX_VERTEX}")
         self.n = n
-        self.declared_delta = delta
         self.updates = UpdateView.of(updates)
         self.replays = 0
         self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_stream_file(cls, sf: StreamFile) -> "StreamSource":
-        return cls(sf.n, sf.updates, sf.delta)
+        return cls(sf.n, sf.updates)
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "StreamSource":
-        return cls.from_stream_file(read_stream(path))
-
-    @classmethod
-    def from_graph(cls, g: Graph, delta: int | None = None) -> "StreamSource":
+    def from_graph(cls, g: Graph) -> "StreamSource":
         lo, hi = g.edge_arrays()
-        return cls(g.n, UpdateView(np.ones_like(lo), lo, hi), delta)
-
-    def replay(self) -> Iterator[EdgeUpdate]:
-        self.replays += 1
-        return iter(self.updates)
+        return cls(g.n, UpdateView(np.ones_like(lo), lo, hi))
 
     def replay_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """One pass, returned as read-only (lo, hi, signs) int64 arrays
@@ -118,10 +109,6 @@ class StreamSource:
                 arr.setflags(write=False)
             self._arrays = (lo, hi, signs)
         return self._arrays
-
-    def materialized(self) -> Graph:
-        """Final graph after all updates (validates stream legality)."""
-        return materialize(self.n, self.updates)
 
 
 @dataclass
@@ -197,10 +184,6 @@ def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
     return (us, vs, signs), true_delta
 
 
-def _mono_mask(ext_colors: np.ndarray, us, vs) -> np.ndarray:
-    return ext_colors[us] == ext_colors[vs]
-
-
 def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
     """Sorted encodings of all vertex pairs sharing a color under
     ext_colors (index 0 ignored)."""
@@ -228,38 +211,87 @@ def _incident_pairs_of(marked: np.ndarray) -> np.ndarray:
     return np.sort(edge_encode_array(w[keep], x[keep], n))
 
 
-def _collect_edges(
+def _stored_subgraph(
     n: int,
-    us,
-    vs,
-    signs,
-    keep_mask: np.ndarray,
+    arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
+    keep: np.ndarray,
     dynamic: bool,
     sketch_k: int,
-    candidates: np.ndarray | None,
+    candidates: Callable[[], np.ndarray],
     report: RunReport,
-) -> list[Edge]:
-    """Storage phase: keep the masked edges directly (insertion-only) or
-    through a sparse-recovery sketch (dynamic)."""
+) -> Graph:
+    """Storage phase shared by every colorer: the final graph's edges
+    among the pass's updates selected by `keep`.
+
+    Insertion-only streams keep the selected edges directly; dynamic
+    streams feed them to a sparse-recovery sketch of budget `sketch_k`
+    and decode it over `candidates()`, a superset of the survivors.
+    """
+    lo, hi, signs = arrays
     if not dynamic:
-        ku = us[keep_mask]
-        kv = vs[keep_mask]
-        return [(int(a), int(b)) for a, b in zip(ku, kv)]
+        lo, hi = lo[keep], hi[keep]
+        order = np.lexsort((hi, lo))
+        return Graph._from_sorted_arrays(n, lo[order], hi[order])
     sketch = SparseRecoverySketch.empty(n, sketch_k)
-    sketch.update_batch(signs[keep_mask], us[keep_mask], vs[keep_mask])
+    sketch.update_batch(signs[keep], lo[keep], hi[keep])
     report.sketch_budgets.append(sketch_k)
-    return sketch.decode(candidates=candidates)
+    # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
+    decoded = sketch.decode(candidates=candidates())
+    lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
+    return Graph._from_sorted_arrays(n, lo, hi)
 
 
-def _product_coloring(
-    n: int, member: HashColorer, greedy: PartialColoring, delta: int
-) -> PartialColoring:
-    block = delta + 1
-    cols = [
-        (member.color(v) - 1) * block + greedy.color_of(v) for v in range(1, n + 1)
-    ]
+def _two_pass(
+    src: StreamSource, delta: int | None, dynamic: bool, algorithm: str
+) -> RunReport:
+    """The two-pass body; `delta` None selects the smallest power-of-two
+    guess at least the true max degree measured in pass 1."""
+    n = src.n
+    start_passes = src.replays
+    (us, vs, signs), true_delta = _first_pass_checks(src, delta, dynamic)
+    selected, guesses = None, 1
+    if delta is None:
+        grid = _power_of_two_grid(n)
+        delta = selected = next(g for g in grid if g >= max(true_delta, 1))
+        guesses = len(grid)
+    fam = basic_family(n, delta)
+    # only the committed guess's argmin is consumed, so only its bank is built
+    bank = CounterBank.from_arrays(fam, None, us, vs, signs)
+    i_star = argmin_counter(bank)
+    member = fam.member(i_star)
     palette = max(delta, 1) * (delta + 1)
-    return PartialColoring(n, palette, cols)
+
+    report = RunReport(
+        algorithm=algorithm,
+        n=n,
+        delta=delta,
+        palette_bound=palette,
+        passes=0,
+        coloring=PartialColoring(n, 1),
+        chosen_members=[i_star],
+        counter_entries=fam.p * guesses,
+        selected_delta=selected,
+    )
+
+    arrays = src.replay_arrays()
+    colors = member.colors_array()
+    mono = colors[arrays[0]] == colors[arrays[1]]
+    sub = _stored_subgraph(
+        n, arrays, mono, dynamic, 4 * n, lambda: _same_color_pairs_of(colors), report
+    )
+    if sub.m > 4 * n:
+        raise MonoBudgetExceededError(
+            f"{sub.m} monochromatic edges exceed the 4n = {4 * n} budget"
+        )
+
+    greedy = greedy_extend(sub, PartialColoring(n, delta + 1))
+    # product color: member block of delta + 1 colors, greedy color inside it
+    block = delta + 1
+    cols = [(c - 1) * block + g for c, g in zip(colors.tolist()[1:], greedy.colors())]
+    report.coloring = PartialColoring(n, palette, cols)
+    report.peak_stored_edges = sub.m
+    report.passes = src.replays - start_passes
+    return report
 
 
 def two_pass_coloring(
@@ -268,42 +300,7 @@ def two_pass_coloring(
     """Two passes, at most delta * (delta + 1) colors, 4n stored edges."""
     if delta < 0:
         raise ValueError("delta must be nonnegative")
-    n = src.n
-    start_passes = src.replays
-    fam = basic_family(n, delta)
-
-    (us, vs, signs), _ = _first_pass_checks(src, delta, dynamic)
-    bank = CounterBank.from_arrays(fam, None, us, vs, signs)
-    i_star = argmin_counter(bank)
-    member = fam.member(i_star)
-
-    report = RunReport(
-        algorithm="two-pass",
-        n=n,
-        delta=delta,
-        palette_bound=max(delta, 1) * (delta + 1),
-        passes=0,
-        coloring=PartialColoring(n, 1),
-        chosen_members=[i_star],
-        counter_entries=fam.p,
-    )
-
-    us, vs, signs = src.replay_arrays()
-    colors = member.colors_array()
-    mono = _mono_mask(colors, us, vs)
-    candidates = _same_color_pairs_of(colors) if dynamic else None
-    stored = _collect_edges(n, us, vs, signs, mono, dynamic, 4 * n, candidates, report)
-    if len(stored) > 4 * n:
-        raise MonoBudgetExceededError(
-            f"{len(stored)} monochromatic edges exceed the 4n = {4 * n} budget"
-        )
-
-    sub = Graph(n, stored)
-    greedy = greedy_extend(sub, PartialColoring(n, delta + 1))
-    report.coloring = _product_coloring(n, member, greedy, delta)
-    report.peak_stored_edges = len(stored)
-    report.passes = src.replays - start_passes
-    return report
+    return _two_pass(src, delta, dynamic, "two-pass")
 
 
 def _ceil_log_3_2(x: int) -> int:
@@ -317,6 +314,16 @@ def _ceil_log_3_2(x: int) -> int:
     return t
 
 
+def _passes(
+    src: StreamSource, delta: int, dynamic: bool
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The colorer's passes in order, as (lo, hi, signs) arrays; the first
+    is checked by `_first_pass_checks`."""
+    yield _first_pass_checks(src, delta, dynamic)[0]
+    while True:
+        yield src.replay_arrays()
+
+
 def iterative_coloring(
     src: StreamSource, delta: int, *, dynamic: bool = False
 ) -> RunReport:
@@ -327,6 +334,7 @@ def iterative_coloring(
     start_passes = src.replays
     fam = extension_family(n, delta)
     palette = fam.palette
+    colors = np.zeros(n + 1, dtype=np.int64)  # index 0 unused, 0 = uncolored
     partial = PartialColoring(n, palette)
     # proven round bound is ceil(log_{3/2} delta) + 1; the runtime guard
     # allows one extra round before declaring non-termination
@@ -342,73 +350,62 @@ def iterative_coloring(
         counter_entries=fam.p,
     )
 
-    first = True
-    uncolored = list(range(1, n + 1))
-    while len(uncolored) * delta > n:
+    passes = _passes(src, delta, dynamic)
+    n0 = n
+    while n0 * delta > n:
         if report.iterations >= guard_rounds:
             raise NonTerminationError(
                 f"exceeded the round guard of {guard_rounds}"
             )
-        n0 = len(uncolored)
         report.phase_uncolored.append(n0)
 
         # pass A: pick the family member whose extension is cheapest
-        if first:
-            (us, vs, signs), _ = _first_pass_checks(src, delta, dynamic)
-            first = False
-        else:
-            us, vs, signs = src.replay_arrays()
-        bank = CounterBank.from_arrays(fam, partial, us, vs, signs)
+        bank = CounterBank.from_arrays(fam, partial, *next(passes))
         i_star = argmin_counter(bank)
-        member = fam.member(i_star)
         report.chosen_members.append(i_star)
 
         # pass B: store the extension's monochromatic edges
-        us, vs, signs = src.replay_arrays()
-        base_arr = base_color_array(partial, n)
-        ext = np.where(base_arr > 0, base_arr, member.colors_array())
-        mono = _mono_mask(ext, us, vs)
-        candidates = _same_color_pairs_of(ext) if dynamic else None
-        stored = _collect_edges(
-            n, us, vs, signs, mono, dynamic, max(1, n0), candidates, report
+        arrays = next(passes)
+        ext = np.where(colors > 0, colors, fam.member(i_star).colors_array())
+        mono = ext[arrays[0]] == ext[arrays[1]]
+        sub = _stored_subgraph(
+            n, arrays, mono, dynamic, max(1, n0),
+            lambda: _same_color_pairs_of(ext), report,
         )
-        if 3 * len(stored) > n0:
+        if 3 * sub.m > n0:
             raise MonoBudgetExceededError(
-                f"round {report.iterations + 1}: {len(stored)} monochromatic "
+                f"round {report.iterations + 1}: {sub.m} monochromatic "
                 f"edges exceed the n0/3 = {n0}/3 budget"
             )
-        report.phase_stored.append(len(stored))
-        report.peak_stored_edges = max(report.peak_stored_edges, len(stored))
+        report.phase_stored.append(sub.m)
+        report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
-        blocked = {w for e in stored for w in e}
-        newly = {
-            v: int(ext[v]) for v in uncolored if v not in blocked
-        }
-        partial = partial.assign(newly)
-        uncolored = [v for v in uncolored if v in blocked]
+        # endpoints of stored edges stay uncolored; the rest take ext
+        free = colors == 0
+        free[np.concatenate(sub.edge_arrays())] = False
+        colors[free] = ext[free]
+        n0 = int(np.count_nonzero(colors[1:] == 0))
+        partial = PartialColoring(n, palette, [c or None for c in colors.tolist()[1:]])
         report.iterations += 1
         report.phase_colorings.append(partial)
 
     # final pass: store everything incident on the few uncolored vertices
-    if first:
-        (us, vs, signs), _ = _first_pass_checks(src, delta, dynamic)
-    else:
-        us, vs, signs = src.replay_arrays()
-    unc_mask = np.zeros(n + 1, dtype=bool)
-    unc_mask[uncolored] = True
-    relevant = unc_mask[us] | unc_mask[vs]
-    cands = _incident_pairs_of(unc_mask) if dynamic else None
+    unc_mask = colors == 0
+    unc_mask[0] = False
+    arrays = next(passes)
+    relevant = unc_mask[arrays[0]] | unc_mask[arrays[1]]
     # the final phase stores at most n edges, so the sketch budget is n
-    stored = _collect_edges(n, us, vs, signs, relevant, dynamic, n, cands, report)
-    if len(stored) > n:
+    sub = _stored_subgraph(
+        n, arrays, relevant, dynamic, n, lambda: _incident_pairs_of(unc_mask), report
+    )
+    if sub.m > n:
         raise MonoBudgetExceededError(
-            f"final round stored {len(stored)} edges, above the n = {n} budget"
+            f"final round stored {sub.m} edges, above the n = {n} budget"
         )
-    report.final_stored_edges = len(stored)
-    report.peak_stored_edges = max(report.peak_stored_edges, len(stored))
+    report.final_stored_edges = sub.m
+    report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
-    sub = Graph(n, stored)
-    partial = greedy_extend(sub, partial, order=uncolored)
+    partial = greedy_extend(sub, partial, order=np.flatnonzero(unc_mask).tolist())
     report.coloring = partial
     report.phase_colorings.append(partial)
     report.passes = src.replays - start_passes
@@ -433,45 +430,7 @@ def two_pass_unknown_delta(src: StreamSource, *, dynamic: bool = False) -> RunRe
     counters the streaming algorithm holds in pass 1.  This process
     materializes only the selected guess's bank of p counters.
     """
-    n = src.n
-    start_passes = src.replays
-    grid = _power_of_two_grid(n)
-
-    (us, vs, signs), true_delta = _first_pass_checks(src, None, dynamic)
-    selected = next(g for g in grid if g >= max(true_delta, 1))
-    fam = basic_family(n, selected)
-    # only the selected bank's argmin is consumed, so only it is built
-    bank = CounterBank.from_arrays(fam, None, us, vs, signs)
-    i_star = argmin_counter(bank)
-    member = fam.member(i_star)
-
-    report = RunReport(
-        algorithm="two-pass-unknown-delta",
-        n=n,
-        delta=selected,
-        palette_bound=selected * (selected + 1),
-        passes=0,
-        coloring=PartialColoring(n, 1),
-        chosen_members=[i_star],
-        counter_entries=fam.p * len(grid),
-        selected_delta=selected,
-    )
-
-    us, vs, signs = src.replay_arrays()
-    colors = member.colors_array()
-    mono = _mono_mask(colors, us, vs)
-    candidates = _same_color_pairs_of(colors) if dynamic else None
-    stored = _collect_edges(n, us, vs, signs, mono, dynamic, 4 * n, candidates, report)
-    if len(stored) > 4 * n:
-        raise MonoBudgetExceededError(
-            f"{len(stored)} monochromatic edges exceed the 4n = {4 * n} budget"
-        )
-    sub = Graph(n, stored)
-    greedy = greedy_extend(sub, PartialColoring(n, selected + 1))
-    report.coloring = _product_coloring(n, member, greedy, selected)
-    report.peak_stored_edges = len(stored)
-    report.passes = src.replays - start_passes
-    return report
+    return _two_pass(src, None, dynamic, "two-pass-unknown-delta")
 
 
 def run_dynamic(src: StreamSource, delta: int, which: str) -> RunReport:

@@ -452,3 +452,44 @@ def test_fuzzed_streams_exit_with_documented_codes(data, flags):
                 assert main(["verify", "--in", str(stream), "--coloring", str(colors)]) == 0
             code = main(["verify", "--in", str(stream), "--coloring", str(fixed)])
             assert code in (0, 2, 3, 4, 5)
+
+
+_ENGINE_SPANS = {
+    "engine.colorer",
+    "engine.replay_arrays",
+    "counters.from_arrays",
+    "graph.greedy_extend",
+    "recovery.update_batch",
+    "recovery.decode",
+}
+
+
+def _spans_module():
+    """perfbench/spans.py, loaded from the repository checkout."""
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--alg", "two-pass"], ["--alg", "iterative"], ["--unknown-delta"]],
+)
+def test_traced_color_records_every_engine_span(tmp_path, capsys, flags):
+    # the benchmark's tracer patches names where the CLI and the engine
+    # look them up; a colorer that stops calling one drops its span
+    spans = _spans_module()
+    stream = tmp_path / "dyn.txt"
+    stream.write_text("n 6\ndelta 2\n+ 1 2\n+ 2 3\n+ 4 5\n- 1 2\n+ 5 6\n+ 1 6\n")
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        code = main(["color", "--in", str(stream), *flags, "--dynamic",
+                     "--out", str(tmp_path / "c.txt")])
+    capsys.readouterr()
+    assert code == 0
+    recorded = {name for name, *_ in tracer.spans}
+    assert _ENGINE_SPANS <= recorded, _ENGINE_SPANS - recorded

@@ -24,8 +24,8 @@ from streamcolor.recovery import edge_encode
 from streamcolor.streamio import dumps_coloring
 
 
-def source_of(edges, n, delta=None):
-    return StreamSource(n, [EdgeUpdate(1, u, v) for u, v in edges], delta)
+def source_of(edges, n):
+    return StreamSource(n, [EdgeUpdate(1, u, v) for u, v in edges])
 
 
 def test_ceil_log_examples():
@@ -92,6 +92,31 @@ class TestTwoPass:
         with pytest.raises(IllegalUpdateError):
             two_pass_coloring(src, delta=2)
 
+    @pytest.mark.parametrize(
+        "edges,delta,expected",
+        [
+            (
+                [(1, 2), (2, 3), (3, 4), (1, 5), (5, 6)],
+                10**10,
+                [10000000002, 20000000003, 30000000004,
+                 40000000005, 50000000006, 60000000007],
+            ),
+            (
+                [(1, 2), (2, 3)],
+                2**62,
+                [4611686018427387906, 9223372036854775811, 13835058055282163716,
+                 18446744073709551621, 23058430092136939526, 27670116110564327431],
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("dynamic", [False, True])
+    def test_product_coloring_exact_past_int64(self, edges, delta, expected, dynamic):
+        # product colors (member color - 1) * (delta + 1) + greedy color
+        # pass 2^63 here and must stay exact Python ints
+        report = two_pass_coloring(source_of(edges, 6), delta, dynamic=dynamic)
+        assert list(report.coloring.colors()) == expected
+        assert validate_proper(Graph(6, edges), report.coloring) == []
+
 
 class TestIterative:
     def test_edgeless(self):
@@ -141,6 +166,24 @@ class TestIterative:
         report = iterative_coloring(StreamSource.from_graph(g), delta=1)
         assert validate_proper(g, report.coloring) == []
         assert report.max_color_used() <= 6
+
+    @pytest.mark.parametrize("delta", [0, 1])
+    def test_zero_rounds_still_check_the_stream(self, delta):
+        # n * delta <= n: no round runs and the checked first pass is the
+        # final pass
+        edges = [(1, 4), (2, 5), (3, 6)] if delta else []
+        report = iterative_coloring(source_of(edges, 6), delta)
+        assert report.iterations == 0
+        assert report.passes == 1
+        assert validate_proper(Graph(6, edges), report.coloring) == []
+
+        deletion = StreamSource(4, [EdgeUpdate(1, 1, 2), EdgeUpdate(-1, 1, 2)])
+        with pytest.raises(IllegalUpdateError):
+            iterative_coloring(deletion, delta)
+        # vertex 1 has degree delta + 1
+        star = source_of([(1, v) for v in range(2, delta + 3)], 4)
+        with pytest.raises(DegreeViolationError):
+            iterative_coloring(star, delta)
 
 
 class TestUnknownDelta:
@@ -240,23 +283,26 @@ class TestStreamSource:
     def test_replays_are_counted(self):
         src = source_of([(1, 2)], 3)
         assert src.replays == 0
-        list(src.replay())
+        src.replay_arrays()
         src.replay_arrays()
         assert src.replays == 2
 
     def test_replay_is_identical(self):
-        src = source_of([(1, 2), (2, 3)], 3)
-        assert list(src.replay()) == list(src.replay())
+        src = source_of([(2, 1), (2, 3)], 3)
+        first = [arr.copy() for arr in src.replay_arrays()]
+        second = src.replay_arrays()
+        assert [arr.tolist() for arr in first] == [[1, 2], [2, 3], [1, 1]]
+        assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_from_graph_sorted(self):
         g = Graph(4, [(3, 4), (1, 2)])
         src = StreamSource.from_graph(g)
-        assert [tuple(u) for u in src.replay()] == [(1, 1, 2), (1, 3, 4)]
+        assert list(src.updates) == [(1, 1, 2), (1, 3, 4)]
 
     def test_materialized_validates(self):
         src = StreamSource(3, [EdgeUpdate(-1, 1, 2)])
         with pytest.raises(IllegalUpdateError):
-            src.materialized()
+            materialize(src.n, src.updates)
 
     def test_replay_arrays_rejects_garbage(self):
         with pytest.raises(IllegalUpdateError):
