@@ -8,160 +8,6 @@ The package is organized around three layers:
   deterministic sparse recovery, and the pass engine that combines them;
 * a desk-scale lower-bound lab (:mod:`streamcolor.lab`) for the
   distributional hardness side.
+
+The package root exports nothing; import from the submodules.
 """
-
-from .errors import (
-    DegreeViolationError,
-    EqualVerticesError,
-    IllegalUpdateError,
-    ImproperOutputError,
-    InfeasibleLevelError,
-    MonoBudgetExceededError,
-    NegativeCounterError,
-    NonTerminationError,
-    OutOfRangeError,
-    PaletteExhaustedError,
-    PaletteMismatchError,
-    RecoveryFailedError,
-    RejectionOverflowError,
-    StreamColorError,
-    StreamFormatError,
-    TooLargeError,
-    UncoloredVertexError,
-)
-from .graph import (
-    EdgeUpdate,
-    Graph,
-    PartialColoring,
-    color_classes,
-    complete_graph,
-    greedy_extend,
-    materialize,
-    max_degree,
-    normalize_edge,
-    same_color_pairs,
-    validate_partial,
-    validate_proper,
-)
-from .hashfam import (
-    ColoringFamily,
-    HashColorer,
-    basic_family,
-    collision_probability,
-    color_hit_probability,
-    deserialize_colorer,
-    extend,
-    extension_family,
-    smallest_prime_above,
-)
-from .counters import (
-    CounterBank,
-    argmin_counter,
-    collision_index_counts,
-    counters_update,
-    member_collision_mask,
-)
-from .recovery import (
-    SparseRecoverySketch,
-    deserialize_sketch,
-    edge_decode,
-    edge_encode,
-    edge_universe,
-    field_modulus,
-    sketch_update,
-)
-from .engine import (
-    RunReport,
-    StreamSource,
-    iterative_coloring,
-    run_dynamic,
-    two_pass_coloring,
-    two_pass_unknown_delta,
-)
-from .generator import generate_graph, generate_stream
-from .prng import SplitMix64, splitmix64_next
-from .streamio import (
-    StreamFile,
-    dumps_coloring,
-    dumps_stream,
-    loads_coloring,
-    loads_stream,
-    read_coloring,
-    read_stream,
-    write_coloring,
-    write_stream,
-)
-
-__all__ = [
-    "ColoringFamily",
-    "CounterBank",
-    "DegreeViolationError",
-    "EdgeUpdate",
-    "EqualVerticesError",
-    "Graph",
-    "HashColorer",
-    "IllegalUpdateError",
-    "ImproperOutputError",
-    "InfeasibleLevelError",
-    "MonoBudgetExceededError",
-    "NegativeCounterError",
-    "NonTerminationError",
-    "OutOfRangeError",
-    "PaletteExhaustedError",
-    "PaletteMismatchError",
-    "PartialColoring",
-    "RecoveryFailedError",
-    "RejectionOverflowError",
-    "RunReport",
-    "SparseRecoverySketch",
-    "SplitMix64",
-    "StreamColorError",
-    "StreamFile",
-    "StreamFormatError",
-    "StreamSource",
-    "TooLargeError",
-    "UncoloredVertexError",
-    "argmin_counter",
-    "basic_family",
-    "collision_index_counts",
-    "collision_probability",
-    "color_classes",
-    "color_hit_probability",
-    "complete_graph",
-    "counters_update",
-    "deserialize_colorer",
-    "deserialize_sketch",
-    "dumps_coloring",
-    "dumps_stream",
-    "edge_decode",
-    "edge_encode",
-    "edge_universe",
-    "extend",
-    "extension_family",
-    "field_modulus",
-    "generate_graph",
-    "generate_stream",
-    "greedy_extend",
-    "iterative_coloring",
-    "loads_coloring",
-    "loads_stream",
-    "materialize",
-    "max_degree",
-    "member_collision_mask",
-    "normalize_edge",
-    "read_coloring",
-    "read_stream",
-    "run_dynamic",
-    "same_color_pairs",
-    "sketch_update",
-    "smallest_prime_above",
-    "splitmix64_next",
-    "two_pass_coloring",
-    "two_pass_unknown_delta",
-    "validate_partial",
-    "validate_proper",
-    "write_coloring",
-    "write_stream",
-]
-
-__version__ = "1.0.0"

@@ -5,15 +5,16 @@ Subcommands: ``generate``, ``color``, ``verify`` for the streaming side;
 Every subcommand is deterministic given its flags and ``--seed``; no
 command reads system entropy or the clock.
 
-Exit codes: 0 success, 2 usage or parse failure or illegal stream,
-3 declared-degree violation, 4 internal budget violation, 5 improper
-coloring.
+Exit codes: 0 success, 2 usage or parse failure, illegal stream, or a
+file that cannot be read or written, 3 declared-degree violation,
+4 internal budget violation, 5 improper coloring.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -198,18 +199,13 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_stream(path: str):
-    try:
-        return read_stream(path)
-    except FileNotFoundError:
-        raise _CliError(EXIT_USAGE, f"no such file: {path}")
-
-
 def cmd_generate(args) -> int:
     if args.n < 1 or args.delta < 0:
         raise _CliError(EXIT_USAGE, "need --n >= 1 and --delta >= 0")
     if not 0.0 <= args.dynamic <= 1.0:
         raise _CliError(EXIT_USAGE, "--dynamic must lie in [0, 1]")
+    if args.density is not None and not math.isfinite(args.density):
+        raise _CliError(EXIT_USAGE, "--density must be finite")
     sf = generate_stream(
         args.n,
         args.delta,
@@ -227,7 +223,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_color(args) -> int:
-    sf = _load_stream(args.input)
+    sf = read_stream(args.input)
     try:
         src = StreamSource.from_stream_file(sf)
     except ValueError as exc:  # n < 1: nothing to color
@@ -257,11 +253,8 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    sf = _load_stream(args.input)
-    try:
-        coloring = read_coloring(args.coloring)
-    except FileNotFoundError:
-        raise _CliError(EXIT_USAGE, f"no such file: {args.coloring}")
+    sf = read_stream(args.input)
+    coloring = read_coloring(args.coloring)
     graph = materialize(sf.n, sf.updates)
     if coloring.n != sf.n:
         raise _CliError(
@@ -355,7 +348,7 @@ def cmd_lb_compress(args) -> int:
     )
     from .lab.distribution import RandomGraphDistribution
 
-    sf = _load_stream(args.base)
+    sf = read_stream(args.base)
     base = materialize(sf.n, sf.updates)
     if args.s < 1:
         raise _CliError(EXIT_USAGE, "--s must be at least 1")
@@ -368,11 +361,7 @@ def cmd_lb_compress(args) -> int:
     elif args.scheme == "identity":
         scheme = identity_scheme(base, bits=args.s)
     elif args.scheme.startswith("file:"):
-        path = args.scheme[len("file:") :]
-        try:
-            scheme = scheme_from_file(path, bits=args.s)
-        except FileNotFoundError:
-            raise _CliError(EXIT_USAGE, f"no such file: {path}")
+        scheme = scheme_from_file(args.scheme[len("file:") :], bits=args.s)
     else:
         raise _CliError(
             EXIT_USAGE, f"--scheme must be parity, identity, or file:<path>"
@@ -396,7 +385,7 @@ def cmd_lb_game(args) -> int:
         run_game,
     )
 
-    sf = _load_stream(args.input)
+    sf = read_stream(args.input)
     if args.k < 1:
         raise _CliError(EXIT_USAGE, "--k must be at least 1")
     if any(upd.sign < 0 for upd in sf.updates):
@@ -461,6 +450,10 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL_BOUND
     except (StreamFormatError, UncoloredVertexError, TooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # a file that cannot be read or written
+        reason = (exc.strerror or str(exc)).lower()
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -33,10 +33,13 @@ from .hashfam import ColoringFamily
 _CHUNK_ELEMS = 1 << 18
 
 
-def base_color_array(base: PartialColoring | None, n: int) -> np.ndarray | None:
-    """Base colors as int64 indexed by vertex, 0 meaning unassigned."""
-    if base is None:
-        return None
+def base_color_array(
+    base: PartialColoring | np.ndarray | None, n: int
+) -> np.ndarray | None:
+    """Base colors as int64 indexed by vertex, 0 meaning unassigned; an
+    array base is already in that form and comes back unchanged."""
+    if base is None or isinstance(base, np.ndarray):
+        return base
     arr = np.zeros(base.n + 1, dtype=np.int64)
     for v, c in enumerate(base.colors(), start=1):
         if c is not None:
@@ -193,10 +196,14 @@ def member_collision_mask(
 
 @dataclass(frozen=True)
 class CounterBank:
-    """Counter vector over one family, optionally over a base coloring."""
+    """Counter vector over one family, optionally over a base coloring.
+
+    The base is a PartialColoring or its `base_color_array` form; the bank
+    keeps it as given, so an array base must not change afterwards.
+    """
 
     family: ColoringFamily
-    base: PartialColoring | None
+    base: PartialColoring | np.ndarray | None
     counts: np.ndarray
 
     @classmethod
@@ -207,7 +214,7 @@ class CounterBank:
     def from_arrays(
         cls,
         family: ColoringFamily,
-        base: PartialColoring | None,
+        base: PartialColoring | np.ndarray | None,
         us: np.ndarray,
         vs: np.ndarray,
         signs: np.ndarray,

@@ -360,7 +360,7 @@ def iterative_coloring(
         report.phase_uncolored.append(n0)
 
         # pass A: pick the family member whose extension is cheapest
-        bank = CounterBank.from_arrays(fam, partial, *next(passes))
+        bank = CounterBank.from_arrays(fam, colors, *next(passes))
         i_star = argmin_counter(bank)
         report.chosen_members.append(i_star)
 
@@ -380,10 +380,11 @@ def iterative_coloring(
         report.phase_stored.append(sub.m)
         report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
-        # endpoints of stored edges stay uncolored; the rest take ext
+        # endpoints of stored edges stay uncolored; the rest take ext.  A
+        # new array, not an update in place: the bank holds the old one
         free = colors == 0
         free[np.concatenate(sub.edge_arrays())] = False
-        colors[free] = ext[free]
+        colors = np.where(free, ext, colors)
         n0 = int(np.count_nonzero(colors[1:] == 0))
         partial = PartialColoring(n, palette, [c or None for c in colors.tolist()[1:]])
         report.iterations += 1

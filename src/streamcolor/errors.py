@@ -26,10 +26,6 @@ class PaletteExhaustedError(StreamColorError):
     """Greedy extension found no free color inside the palette."""
 
 
-class PaletteMismatchError(StreamColorError):
-    """Two colorings that must share a palette do not."""
-
-
 class EqualVerticesError(StreamColorError):
     """An operation on a vertex pair was given u == v."""
 

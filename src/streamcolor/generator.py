@@ -29,7 +29,8 @@ def generate_stream(
     """Build a seeded stream whose final graph has max degree <= delta.
 
     `edge_target` asks for an absolute number of insertions; `density`
-    for a fraction of n * delta / 2.  Both are upper targets: if the
+    for a fraction of n * delta / 2.  Both are upper targets, capped at
+    n * delta / 2 and at the n * (n - 1) / 2 vertex pairs: if the
     degree cap makes a draw impossible the builder stops early after a
     bounded number of rejected attempts.
     """
@@ -46,7 +47,8 @@ def generate_stream(
         target = cap // 2 if density is None else int(density * cap)
     else:
         target = edge_target
-    target = max(0, min(target, cap))
+    # no more insertions than vertex pairs, so draws stop once all are in
+    target = max(0, min(target, cap, n * (n - 1) // 2))
 
     rng = SplitMix64(seed)
     degree = [0] * (n + 1)

@@ -12,7 +12,6 @@ check streams through it.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence as SequenceABC
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -192,10 +191,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return normalize_edge(u, v) in self.edges
 
-    def induced(self, vertices: Iterable[int]) -> frozenset[Edge]:
-        """Edges with both endpoints inside `vertices`."""
-        keep = set(vertices)
-        return frozenset(e for e in self.edges if e[0] in keep and e[1] in keep)
 
 
 def max_degree(g: Graph) -> int:
@@ -335,14 +330,6 @@ class PartialColoring:
     def colored_count(self) -> int:
         return sum(1 for c in self._colors if c is not None)
 
-    def assign(self, updates: dict[int, int]) -> "PartialColoring":
-        """New coloring with the given vertices (re)assigned."""
-        cols = list(self._colors)
-        for v, c in updates.items():
-            _check_vertex(v, self.n)
-            cols[v - 1] = c
-        return PartialColoring(self.n, self.palette, cols)
-
     def require_total(self) -> None:
         for v in range(1, self.n + 1):
             if self._colors[v - 1] is None:
@@ -402,13 +389,6 @@ def greedy_extend(
             )
         cols[v - 1] = c
     return PartialColoring(g.n, coloring.palette, cols)
-
-
-def same_color_pairs(coloring: PartialColoring) -> int:
-    """Number of unordered vertex pairs sharing a color (total colorings)."""
-    coloring.require_total()
-    counts = Counter(coloring.colors())
-    return sum(s * (s - 1) // 2 for s in counts.values())
 
 
 def color_classes(coloring: PartialColoring) -> dict[int, list[int]]:

@@ -18,8 +18,9 @@ Guarantees, for any pair u != v in 1..n and any palette k:
   do when k >= p.  Each such a gives a distinct nonzero difference
   a*(u-v) mod p, and a collision needs that difference or its
   complement to p to be a multiple of k;
-* over the whole family, `collision_probability` is therefore at most
-  2/k + 1/p.
+* over the whole family, the fraction of members that
+  `counters.member_collision_mask` marks for the pair is therefore at
+  most 2/k + 1/p.
 
 The 4n and n0/3 storage budgets rest on the 2/k fraction: the minimum
 counter over the family is at most the minimum over its non-constant
@@ -29,12 +30,10 @@ members, so member 0 cannot weaken them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .errors import PaletteMismatchError, StreamFormatError
-from .graph import PartialColoring, normalize_edge
+from .graph import PartialColoring
 
 
 # the first 13 primes: as Miller-Rabin bases they decide every x below
@@ -101,23 +100,6 @@ class HashColorer:
             self.n, self.palette, [self.color(v) for v in range(1, self.n + 1)]
         )
 
-    def serialize(self) -> str:
-        """Decimal text `n palette a`; p is recomputed on load."""
-        return f"{self.n} {self.palette} {self.a}"
-
-
-def deserialize_colorer(text: str) -> HashColorer:
-    parts = text.split()
-    if len(parts) != 3:
-        raise StreamFormatError("expected `n palette a`")
-    try:
-        n, palette, a = (int(x) for x in parts)
-    except ValueError as exc:
-        raise StreamFormatError(f"cannot parse colorer {text!r}") from exc
-    fam = ColoringFamily(n, palette)
-    return fam.member(a)
-
-
 @dataclass(frozen=True)
 class ColoringFamily:
     """All p colorers sharing one modulus and palette."""
@@ -160,37 +142,3 @@ def extension_family(n: int, delta: int) -> ColoringFamily:
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     return ColoringFamily(n, max(6 * delta, 1))
-
-
-def extend(base: PartialColoring, filler: HashColorer) -> PartialColoring:
-    """Total coloring agreeing with `base` where assigned, `filler` elsewhere."""
-    if base.n != filler.n:
-        raise PaletteMismatchError(f"vertex counts differ: {base.n} vs {filler.n}")
-    if base.palette != filler.palette:
-        raise PaletteMismatchError(
-            f"palettes differ: {base.palette} vs {filler.palette}"
-        )
-    cols = [
-        c if c is not None else filler.color(v)
-        for v, c in enumerate(base.colors(), start=1)
-    ]
-    return PartialColoring(base.n, base.palette, cols)
-
-
-def collision_probability(family: ColoringFamily, u: int, v: int) -> Fraction:
-    """Exact fraction of members coloring u and v alike."""
-    normalize_edge(u, v)  # rejects u == v
-    p, k = family.p, family.palette
-    a = np.arange(p, dtype=np.int64)
-    hits = int(np.count_nonzero((a * u % p) % k == (a * v % p) % k))
-    return Fraction(hits, p)
-
-
-def color_hit_probability(family: ColoringFamily, u: int, color: int) -> Fraction:
-    """Exact fraction of members assigning `color` to u."""
-    if not 1 <= color <= family.palette:
-        raise ValueError(f"color {color} outside [1, {family.palette}]")
-    p, k = family.p, family.palette
-    a = np.arange(p, dtype=np.int64)
-    hits = int(np.count_nonzero((a * u % p) % k == color - 1))
-    return Fraction(hits, p)

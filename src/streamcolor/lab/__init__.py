@@ -6,124 +6,33 @@ q * ln(2)^j live in an exact scaled ring so bound checks never hinge
 on float rounding.
 """
 
-from .adversary import (
-    AdversaryLevel,
-    AdversaryReport,
-    Counterexample,
-    fit_bits,
-    run_adversary,
-)
-from .compression import (
-    CompressionScheme,
-    LabelClass,
-    MissingGraph,
-    TwoLabelingReport,
-    check_compression_lemma,
-    constant_scheme,
-    identity_scheme,
-    label_partition,
-    missing_bound,
-    missing_graph,
-    parity_scheme,
-    random_scheme,
-    scheme_from_file,
-    worst_two_labeling,
-)
-from .distribution import (
-    DEFAULT_ENUM_CAP,
-    DEFAULT_RETRY_CAP,
-    RandomGraphDistribution,
-    SupportTable,
-    enumerate_support,
-    support_table,
-)
+from .adversary import run_adversary
+from .compression import check_compression_lemma, random_scheme, worst_two_labeling
+from .distribution import RandomGraphDistribution
 from .game import (
     ConstantColorStrategy,
-    CounterPassAlgorithm,
     DistinctColorsStrategy,
-    ForwardMemoryStrategy,
     GameSpec,
-    GameTranscript,
-    OnePassAlgorithm,
     ParityMessageStrategy,
-    ProductStrategy,
-    StoreAllEdgesAlgorithm,
     Strategy,
-    bits_text,
-    coloring_from_message,
-    decode_colors,
-    encode_colors,
-    protocol_from_stream,
     run_game,
-    text_bits,
 )
-from .lnscaled import LN2, ComparisonPrecisionError, LnScaled
-from .schedule import (
-    ETA_0,
-    AdversarySchedule,
-    CorollaryCheck,
-    LowerBoundReport,
-    color_lower_bound,
-    corollary_check,
-    lemma_color_bound,
-    schedule,
-    theorem_color_bound,
-)
+from .lnscaled import LnScaled
+from .schedule import corollary_check, schedule
 
 __all__ = [
-    "AdversaryLevel",
-    "AdversaryReport",
-    "AdversarySchedule",
-    "ComparisonPrecisionError",
-    "CompressionScheme",
     "ConstantColorStrategy",
-    "CorollaryCheck",
-    "Counterexample",
-    "CounterPassAlgorithm",
-    "DEFAULT_ENUM_CAP",
-    "DEFAULT_RETRY_CAP",
     "DistinctColorsStrategy",
-    "ETA_0",
-    "ForwardMemoryStrategy",
     "GameSpec",
-    "GameTranscript",
-    "LN2",
-    "LabelClass",
     "LnScaled",
-    "LowerBoundReport",
-    "MissingGraph",
-    "OnePassAlgorithm",
     "ParityMessageStrategy",
-    "ProductStrategy",
     "RandomGraphDistribution",
-    "StoreAllEdgesAlgorithm",
     "Strategy",
-    "SupportTable",
-    "TwoLabelingReport",
-    "bits_text",
     "check_compression_lemma",
-    "color_lower_bound",
-    "coloring_from_message",
-    "constant_scheme",
     "corollary_check",
-    "decode_colors",
-    "encode_colors",
-    "enumerate_support",
-    "fit_bits",
-    "identity_scheme",
-    "label_partition",
-    "lemma_color_bound",
-    "missing_bound",
-    "missing_graph",
-    "parity_scheme",
-    "protocol_from_stream",
     "random_scheme",
     "run_adversary",
     "run_game",
-    "scheme_from_file",
     "schedule",
-    "support_table",
-    "text_bits",
-    "theorem_color_bound",
     "worst_two_labeling",
 ]

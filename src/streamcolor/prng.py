@@ -67,12 +67,6 @@ class SplitMix64:
             return False
         return self.below(p.denominator) < p.numerator
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
     def sample_indices(self, count: int, universe: int) -> list[int]:
         """Draw `count` distinct indices from range(universe), sorted."""
         if count > universe:

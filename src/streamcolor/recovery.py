@@ -27,7 +27,7 @@ from operator import mul
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import OutOfRangeError, RecoveryFailedError, StreamFormatError
+from .errors import OutOfRangeError, RecoveryFailedError
 from .graph import Edge, normalize_edge
 from .hashfam import smallest_prime_above
 
@@ -337,33 +337,3 @@ class SparseRecoverySketch:
         first = np.ones(cand.size, dtype=bool)
         first[1:] = cand[1:] != cand[:-1]
         return cand[first]
-
-    def serialize(self) -> str:
-        """Decimal text `k q S_1 ... S_2k`."""
-        syn = " ".join(str(int(s)) for s in self.syndromes)
-        return f"{self.k} {self.q} {syn}"
-
-
-def deserialize_sketch(text: str, n: int) -> SparseRecoverySketch:
-    parts = text.split()
-    if len(parts) < 2:
-        raise StreamFormatError("expected `k q S_1 ... S_2k`")
-    try:
-        k, q = int(parts[0]), int(parts[1])
-        syn = [int(x) for x in parts[2:]]
-    except ValueError as exc:
-        raise StreamFormatError("cannot parse sketch") from exc
-    if k < 1 or len(syn) != 2 * k:
-        raise StreamFormatError(f"expected {2 * max(k, 1)} syndromes")
-    if q != field_modulus(n):
-        raise StreamFormatError(f"modulus {q} does not match universe for n={n}")
-    if any(not 0 <= s < q for s in syn):
-        raise StreamFormatError("syndrome outside field")
-    return SparseRecoverySketch(n, k, q, _Fq(q).asarray(syn))
-
-
-def sketch_update(sketch: SparseRecoverySketch, sign: int, u: int, v: int):
-    """Pure-style single update: returns a new sketch."""
-    out = SparseRecoverySketch(sketch.n, sketch.k, sketch.q, sketch.syndromes.copy())
-    out.update(sign, u, v)
-    return out

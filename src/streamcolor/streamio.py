@@ -28,9 +28,10 @@ are decoded in bulk into int64 (sign, u, v) arrays, and empty lines and
 lines starting `#` are dropped.  Every other line goes through the
 per-line rule, which gives the same result.
 
-Coloring file: one line `<vertex> <color>` per vertex, ascending, one
-for every vertex 1..n.  Both writers emit LF endings so output bytes
-are platform independent.
+Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
+ascending, one for every vertex 1..n.  `dumps_stream` and
+`dumps_coloring` emit LF endings so output bytes are platform
+independent.
 """
 
 from __future__ import annotations
@@ -239,10 +240,6 @@ def read_stream(path: str | Path) -> StreamFile:
     return _parse(Path(path).read_bytes())
 
 
-def write_stream(path: str | Path, n: int, updates, delta: int | None = None) -> None:
-    Path(path).write_text(dumps_stream(n, updates, delta), newline="\n")
-
-
 def loads_coloring(text: str) -> PartialColoring:
     """Parse a coloring file; palette is the largest color present."""
     rows: list[tuple[int, int]] = []
@@ -279,8 +276,4 @@ def dumps_coloring(coloring: PartialColoring) -> str:
 
 
 def read_coloring(path: str | Path) -> PartialColoring:
-    return loads_coloring(Path(path).read_text())
-
-
-def write_coloring(path: str | Path, coloring: PartialColoring) -> None:
-    Path(path).write_text(dumps_coloring(coloring), newline="\n")
+    return loads_coloring(_utf8(Path(path).read_bytes()))

@@ -195,7 +195,9 @@ def test_incremental_equals_batch(data):
     for u, v in chosen:
         bank = counters_update(bank, EdgeUpdate(1, u, v))
     arr = np.array(chosen, dtype=np.int64).reshape(-1, 2)
-    batch = CounterBank.from_arrays(
-        fam, base, arr[:, 0], arr[:, 1], np.ones(len(chosen), dtype=np.int64)
-    )
-    assert (bank.counts == batch.counts).all()
+    # the base as a PartialColoring and as its int64 color array
+    for b in (base, base_color_array(base, fam.n)):
+        batch = CounterBank.from_arrays(
+            fam, b, arr[:, 0], arr[:, 1], np.ones(len(chosen), dtype=np.int64)
+        )
+        assert (bank.counts == batch.counts).all()

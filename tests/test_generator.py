@@ -2,8 +2,10 @@
 
 import pytest
 
+from streamcolor import generator
 from streamcolor.generator import generate_graph, generate_stream
 from streamcolor.graph import materialize, max_degree
+from streamcolor.prng import SplitMix64
 
 
 def test_same_seed_same_stream():
@@ -75,3 +77,24 @@ def test_argument_validation():
         generate_stream(5, 2, seed=1, deletion_fraction=1.5)
     with pytest.raises(ValueError):
         generate_stream(5, 2, seed=1, edge_target=3, density=0.5)
+
+
+@pytest.mark.parametrize("deletion_fraction", [0.0, 0.5])
+def test_degree_bound_above_n_stops_at_the_complete_graph(
+    monkeypatch, deletion_fraction
+):
+    # a target past the n(n-1)/2 vertex pairs must not keep drawing: the
+    # rejection loop makes up to 30 draws per targeted edge
+    class Budgeted(SplitMix64):
+        left = 2000
+
+        def next_u64(self):
+            Budgeted.left -= 1
+            assert Budgeted.left >= 0, "generator kept drawing"
+            return super().next_u64()
+
+    monkeypatch.setattr(generator, "SplitMix64", Budgeted)
+    sf = generate_stream(5, 10**20, seed=3, deletion_fraction=deletion_fraction)
+    inserts = sum(1 for u in sf.updates if u.sign == 1)
+    assert inserts == 10  # all of K5
+    assert materialize(sf.n, sf.updates).m == inserts - int(deletion_fraction * 10)

@@ -24,7 +24,6 @@ from streamcolor.graph import (
     materialize,
     max_degree,
     normalize_edge,
-    same_color_pairs,
     validate_partial,
     validate_proper,
 )
@@ -207,10 +206,6 @@ def test_partial_coloring_accessors():
     assert c[2] is None
     assert c.uncolored() == [2]
     assert not c.is_total
-    c2 = c.assign({2: 3})
-    assert c2.is_total
-    assert c2.colors() == (1, 3, 2, 1)
-    assert c.colors() == (1, None, 2, 1)  # original untouched
     with pytest.raises(UncoloredVertexError):
         c.require_total()
 
@@ -296,32 +291,9 @@ def test_greedy_is_proper_within_degree_plus_one(n, data):
     assert validate_partial(g, c) == []
 
 
-def test_same_color_pairs_examples():
-    assert same_color_pairs(PartialColoring(4, 2, [1, 1, 2, 2])) == 2
-    assert same_color_pairs(PartialColoring(5, 5, [1, 2, 3, 4, 5])) == 0
-    assert same_color_pairs(PartialColoring(4, 1, [1, 1, 1, 1])) == 6
-
-
 def test_color_classes():
     c = PartialColoring(4, 2, [2, 1, 2, None])
     assert color_classes(c) == {1: [2], 2: [1, 3]}
-
-
-@given(st.integers(min_value=2, max_value=60), st.data())
-@settings(max_examples=120)
-def test_few_colors_force_many_same_color_pairs(n, data):
-    # any total assignment using at most n/2 colors has >= n^2/(4c)
-    # same-color pairs, by convexity of the class sizes
-    c = data.draw(st.integers(min_value=1, max_value=n // 2))
-    r_colors = data.draw(
-        st.lists(st.integers(min_value=1, max_value=c), min_size=n, max_size=n)
-    )
-    col = PartialColoring(n, c, r_colors)
-    pairs = same_color_pairs(col)
-    assert 4 * c * pairs >= n * n
-
-    sizes = [len(v) for v in color_classes(col).values()]
-    assert pairs == sum(s * (s - 1) // 2 for s in sizes)
 
 
 @given(st.integers(min_value=1, max_value=8), st.data())
@@ -332,8 +304,3 @@ def test_graph_equality_ignores_edge_order(n, data):
     g2 = Graph(n, list(reversed(edges)))
     assert g1 == g2
     assert hash(g1) == hash(g2)
-
-
-def test_induced_edges():
-    g = Graph(5, [(1, 2), (2, 3), (4, 5)])
-    assert g.induced([1, 2, 4, 5]) == frozenset({(1, 2), (4, 5)})

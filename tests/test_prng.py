@@ -90,14 +90,6 @@ def test_chance_frequency_is_plausible():
     assert 800 <= hits <= 1200
 
 
-@given(st.integers(min_value=0, max_value=MASK), st.integers(min_value=0, max_value=30))
-def test_shuffle_is_permutation(seed, size):
-    r = SplitMix64(seed)
-    items = list(range(size))
-    r.shuffle(items)
-    assert sorted(items) == list(range(size))
-
-
 @given(
     st.integers(min_value=0, max_value=MASK),
     st.integers(min_value=0, max_value=20),

@@ -10,18 +10,15 @@ from streamcolor.errors import (
     EqualVerticesError,
     OutOfRangeError,
     RecoveryFailedError,
-    StreamFormatError,
 )
 from streamcolor.hashfam import is_prime, smallest_prime_above
 from streamcolor.recovery import (
     SparseRecoverySketch,
     _Fq,
-    deserialize_sketch,
     edge_decode,
     edge_encode,
     edge_universe,
     field_modulus,
-    sketch_update,
 )
 
 
@@ -289,50 +286,9 @@ def test_candidate_restriction_missing_root_fails_loudly():
         sketch.decode(candidates=[(1, 2), (5, 6)])
 
 
-def test_serialize_roundtrip():
-    sketch = SparseRecoverySketch.empty(7, 2)
-    sketch.update(1, 1, 2)
-    sketch.update(1, 6, 7)
-    text = sketch.serialize()
-    back = deserialize_sketch(text, 7)
-    assert back.decode() == [(1, 2), (6, 7)]
-    assert back.serialize() == text
-
-
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",
-        "2",
-        "2 443 1 2 3",  # wrong syndrome count
-        "0 443",  # k must be positive
-        "2 444 1 2 3 4",  # wrong modulus for n=7
-        "2 443 1 2 3 x",
-        "2 443 1 2 3 -1",
-    ],
-)
-def test_deserialize_rejects_malformed(text):
-    with pytest.raises(StreamFormatError):
-        deserialize_sketch(text, 7)
-
-
-def test_deserialize_checks_modulus_against_n():
-    text = SparseRecoverySketch.empty(7, 2).serialize()
-    with pytest.raises(StreamFormatError):
-        deserialize_sketch(text, 8)
-
-
-def test_sketch_update_is_pure():
-    base = SparseRecoverySketch.empty(6, 2)
-    out = sketch_update(base, 1, 2, 5)
-    assert all(int(s) == 0 for s in base.syndromes)
-    assert out.decode() == [(2, 5)]
-
-
-def test_large_field_object_fallback_roundtrip():
-    # despite the name, n = 2000 runs the int64 limb multiply: q is above
-    # 41 bits, where a single int64 product would overflow; the object
-    # field starts at n = 55110 (see the limb-cutover test below)
+def test_int64_limb_multiply_roundtrip_at_n_2000():
+    # q is above 41 bits, where a single int64 product would overflow;
+    # the object field starts at n = 55110 (see the limb-cutover test below)
     n = 2000
     q = field_modulus(n)
     assert q.bit_length() > 41

@@ -15,8 +15,8 @@ from streamcolor.streamio import (
     dumps_stream,
     loads_coloring,
     loads_stream,
+    read_coloring,
     read_stream,
-    write_stream,
 )
 
 SAMPLE = """\
@@ -88,10 +88,10 @@ def test_comments_and_blank_lines_ignored():
 
 def test_file_roundtrip(tmp_path):
     path = tmp_path / "s.txt"
-    write_stream(path, 4, [EdgeUpdate(1, 1, 4)], delta=3)
+    text = dumps_stream(4, [EdgeUpdate(1, 1, 4)], delta=3)
+    assert "\r" not in text  # unix newlines
+    path.write_bytes(text.encode())
     assert read_stream(path) == StreamFile(4, 3, (EdgeUpdate(1, 1, 4),))
-    # written with unix newlines
-    assert b"\r" not in path.read_bytes()
 
 
 updates_strategy = st.lists(
@@ -289,8 +289,9 @@ def test_crlf_and_mixed_lines(tmp_path):
 def test_invalid_utf8_is_a_format_error(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_bytes(b"n 3\n+ 1 2\n# \xff\n")
-    with pytest.raises(StreamFormatError, match="^line 3: not UTF-8 text$"):
-        read_stream(path)
+    for read in (read_stream, read_coloring):
+        with pytest.raises(StreamFormatError, match="^line 3: not UTF-8 text$"):
+            read(path)
 
 
 def test_updates_view_is_sized_and_indexed():
