@@ -13,11 +13,12 @@ file that cannot be read or written, 3 declared-degree violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .engine import (
@@ -99,8 +100,50 @@ def _emit(args, payload: dict) -> None:
         print(json.dumps(payload, indent=2))
 
 
-def _write_text(path: str, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8", newline="")
+@contextlib.contextmanager
+def _outputs(*paths: str | None):
+    """One text file per output path, every one opened before any is
+    written; an empty path or None gives None.
+
+    If a path cannot be opened, the files created for the paths before it
+    are removed again.  No file is truncated until `_put` writes it, so a
+    file that already existed is left as it was.
+    """
+    files: list = []
+    created: list[str] = []
+    try:
+        for path in paths:
+            if not path:
+                files.append(None)
+                continue
+            try:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+                created.append(path)
+            except FileExistsError:
+                fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+            files.append(open(fd, "w", encoding="utf-8", newline=""))
+    except BaseException:
+        for fh in files:
+            if fh is not None:
+                fh.close()
+        for path in created:
+            os.unlink(path)
+        raise
+    try:
+        yield files
+    finally:
+        for fh in files:
+            if fh is not None:
+                fh.close()
+
+
+def _put(fh, text: str) -> None:
+    """Replace the content of a file from `_outputs` with text, and close
+    it; a pipe or terminal is just written."""
+    with fh:
+        if fh.seekable():
+            fh.truncate(0)
+        fh.write(text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -215,10 +258,11 @@ def cmd_generate(args) -> int:
         deletion_fraction=args.dynamic,
     )
     text = dumps_stream(sf.n, sf.updates, sf.delta)
-    if args.out:
-        _write_text(args.out, text)
-    elif not args.quiet:
-        sys.stdout.write(text)
+    with _outputs(args.out) as (out,):
+        if out is not None:
+            _put(out, text)
+        elif not args.quiet:
+            sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -239,16 +283,18 @@ def cmd_color(args) -> int:
         run = two_pass_coloring if args.alg == "two-pass" else iterative_coloring
         report = run(src, sf.delta, dynamic=args.dynamic)
     text = dumps_coloring(report.coloring)
-    if args.out:
-        _write_text(args.out, text)
-    elif not args.quiet:
-        sys.stdout.write(text)
     payload = report.to_json_dict()
-    if args.report:
-        _write_text(args.report, json.dumps(payload, indent=2) + "\n")
-    elif args.out:
-        # coloring went to a file, so the report may use stdout
-        _emit(args, payload)
+    # a report path that cannot be opened must not leave a coloring behind
+    with _outputs(args.out, args.report) as (out, report_file):
+        if out is not None:
+            _put(out, text)
+        elif not args.quiet:
+            sys.stdout.write(text)
+        if report_file is not None:
+            _put(report_file, json.dumps(payload, indent=2) + "\n")
+        elif out is not None:
+            # coloring went to a file, so the report may use stdout
+            _emit(args, payload)
     return EXIT_OK
 
 

@@ -20,7 +20,11 @@ Guarantees, for any pair u != v in 1..n and any palette k:
   complement to p to be a multiple of k;
 * over the whole family, the fraction of members that
   `counters.member_collision_mask` marks for the pair is therefore at
-  most 2/k + 1/p.
+  most 2/k + 1/p;
+* members a and p - a (1 <= a < p) color every pair alike or unlike
+  together: (p - a) * v mod p = p - (a * v mod p) for every v in 1..n,
+  and x == y (mod k) iff p - x == p - y (mod k).  The batched counter
+  kernel sweeps one of the two progressions above and mirrors it.
 
 The 4n and n0/3 storage budgets rest on the 2/k fraction: the minimum
 counter over the family is at most the minimum over its non-constant

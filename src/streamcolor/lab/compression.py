@@ -9,9 +9,11 @@ ln2 * (bits + 1) / p base edges.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from ..errors import StreamFormatError, TooLargeError
 from ..graph import Edge, Graph
 from ..prng import splitmix64_next
+from ..streamio import _utf8
 from .distribution import (
     DEFAULT_ENUM_CAP,
     RandomGraphDistribution,
@@ -138,7 +141,10 @@ def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
     lines starting with ``#`` are skipped.
     """
     mapping: dict[int, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    # read as bytes, so text that is not UTF-8 fails with its line
+    # number; StringIO then splits lines as a text-mode file would
+    text = _utf8(Path(path).read_bytes())
+    with io.StringIO(text, newline=None) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

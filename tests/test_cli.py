@@ -213,6 +213,24 @@ def test_unreadable_or_unwritable_file_exits_two(tmp_path, capsys, case):
     assert (code, err) == (2, f"error: {message.format(**paths)}\n")
 
 
+@pytest.mark.parametrize("existing", [None, "9 9\n" * 100], ids=["new", "old"])
+def test_color_with_unwritable_report_leaves_out_file_alone(tmp_path, capsys, existing):
+    stream = tmp_path / "s.txt"
+    stream.write_text(TRIANGLE)
+    out = tmp_path / "c.colors"
+    if existing is not None:
+        out.write_text(existing)
+    code, _, _ = run(capsys, "color", "--in", str(stream), "--out", str(out),
+                     "--report", str(tmp_path / "no" / "r.json"))
+    assert code == 2
+    assert (out.read_text() if out.exists() else None) == existing
+    # a run that succeeds replaces the whole file
+    code, _, _ = run(capsys, "color", "--in", str(stream), "--out", str(out),
+                     "--report", str(tmp_path / "r.json"))
+    assert code == 0
+    assert out.read_text() == run(capsys, "color", "--in", str(stream))[1]
+
+
 def test_lb_params_json_shape(capsys):
     code, out, _ = run(capsys, "lb-params", "--n", "1000000", "--delta", "20000",
                        "--k", "1", "--s", "20000000")
@@ -299,6 +317,17 @@ def test_lb_compress_identity_and_file_schemes(tmp_path, capsys):
                        "--scheme", f"file:{scheme}", "--s", "1")
     assert code == 0
     assert json.loads(out)["min_missing"] == 0
+
+
+def test_lb_compress_non_utf8_scheme_exits_two(tmp_path, capsys):
+    stream = tmp_path / "one.txt"
+    stream.write_text("n 2\ndelta 1\n+ 1 2\n")
+    scheme = tmp_path / "scheme.txt"
+    scheme.write_bytes(b"0 0\n\xff 1\n")
+    code, _, err = run(capsys, "lb-compress", "--base", str(stream),
+                       "--p", "1/3", "--d", "5",
+                       "--scheme", f"file:{scheme}", "--s", "1")
+    assert (code, err) == (2, "error: line 2: not UTF-8 text\n")
 
 
 def test_lb_compress_bad_rational(capsys):

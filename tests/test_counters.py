@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from streamcolor.counters import (
     CounterBank,
+    _modinv_table,
     argmin_counter,
     base_color_array,
     collision_index_counts,
@@ -107,13 +108,71 @@ def test_kernel_handles_empty_batch():
 
 
 def test_member_zero_counts_everything():
-    # a=0 colors every vertex alike, so its counter equals the edge count
-    fam = basic_family(12, 4)
+    # a=0 colors every vertex alike, so its counter equals the edge count;
+    # with a palette of p = 13 or more no other member colors a pair alike
     us = np.array([1, 2, 3, 9], dtype=np.int64)
     vs = np.array([5, 6, 4, 11], dtype=np.int64)
     signs = np.ones(4, dtype=np.int64)
+    for palette in (4, 13, 40):
+        fam = ColoringFamily(12, palette)
+        counts = collision_index_counts(fam, None, us, vs, signs)
+        assert counts[0] == 4
+        if palette >= fam.p:
+            assert not counts[1:].any()
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_kernel_without_base_is_mirror_symmetric(data):
+    # members a and p - a color every pair alike or unlike together
+    n = data.draw(st.integers(min_value=2, max_value=300))
+    fam = ColoringFamily(n, data.draw(st.integers(min_value=1, max_value=400)))
+    edges = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=n - 1),
+                st.integers(min_value=1, max_value=n - 1),
+                st.sampled_from([1, -1]),
+            ),
+            max_size=40,
+        )
+    )
+    us, steps, signs = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    vs = np.minimum(us + steps, n)  # above u, since u < n
     counts = collision_index_counts(fam, None, us, vs, signs)
-    assert counts[0] == 4
+    assert (counts[1:] == counts[:0:-1]).all()
+
+
+@pytest.mark.parametrize("with_base", [False, True])
+def test_int64_kernel_matches_mask_oracle(with_base):
+    # p = 50021 has p^2 >= 2^31, so the sweep runs on int64
+    fam = basic_family(50000, 7)
+    assert fam.p == 50021
+    rng = np.random.default_rng(5)
+    us = rng.integers(1, 25000, size=14)
+    vs = us + rng.integers(1, 25000, size=14)
+    # every third edge is deleted again
+    us = np.concatenate([us, us[::3]])
+    vs = np.concatenate([vs, vs[::3]])
+    signs = np.concatenate([np.ones(14, np.int64), -np.ones(5, np.int64)])
+    base_arr = None
+    if with_base:
+        base_arr = rng.integers(1, 8, size=fam.n + 1)
+        base_arr[rng.random(fam.n + 1) < 0.5] = 0
+
+    got = collision_index_counts(fam, base_arr, us, vs, signs)
+
+    want = np.zeros(fam.p, dtype=np.int64)
+    for u, v, s in zip(us.tolist(), vs.tolist(), signs.tolist()):
+        want += s * member_collision_mask(fam, base_arr, u, v)
+    assert (got == want).all()
+
+
+@pytest.mark.parametrize("p, upto", [(2, 1), (13, 12), (8009, 8000), (50021, 50000)])
+def test_modinv_table_matches_pow(p, upto):
+    # 50021^2 >= 2^31: the square-and-multiply products need int64
+    inv = _modinv_table(p, upto)
+    assert inv.tolist() == [0] + [pow(i, -1, p) for i in range(1, upto + 1)]
 
 
 def test_both_colored_equal_hits_every_member():
