@@ -1,20 +1,57 @@
 """Seeded random streams with a max-degree cap.
 
 Generation is fully determined by (n, delta, edge target, deletion
-fraction, seed): edges are drawn as uniform vertex pairs, rejecting
-self loops, repeats, and anything that would push a degree past delta.
-For dynamic streams, a chosen fraction of the inserted edges is deleted
-again; each deletion is spliced at a seeded position after its
+fraction, seed).  The rule is sequential: each attempt draws a uniform
+vertex pair (u, v) with two `below(n)` calls and inserts the edge unless
+it is a self loop, is already in, or would push a degree past delta;
+attempts stop at the edge target or after 30 per targeted edge (plus
+100).  For dynamic streams, a chosen fraction of the inserted edges is
+deleted again; each deletion is spliced at a seeded position after its
 insertion, so replays see one fixed interleaving.
+
+The rule is applied in bulk, a round of up to `_BLOCK` attempts at a
+time, and gives the bytes the one-attempt-at-a-time loop gives:
+
+- Self loops, edges already in before the round, edges at a vertex
+  already at the cap, and later repeats of a pair within the round are
+  rejected whatever else happens in the round (degrees only grow, so a
+  repeat whose first draw failed on a degree fails too).
+- What is left, the candidates, is accepted in draw order while both
+  ends stay below the cap.  Whether a candidate is accepted depends
+  only on which earlier ones were, through the running degrees of its
+  two ends, so the accepted set A is the one fixed point of
+  F(S) = {c : both ends of c have, counting the members of S before c,
+  degree below the cap}.  F is computed for all candidates at once from
+  one sort of their ends by vertex.  Start from S = all candidates and
+  iterate.  If S agrees with A on the candidates before c, F(S) agrees
+  with A on c; so if S and F(S) agree up to c, both agree with A there,
+  and F(S) is exact up to and including its first difference from S.
+  After the first step that is the round's first degree conflict; once
+  two iterates agree, the whole round is exact.  A round takes at most
+  `_F_STEPS` steps and then commits its exact prefix only.
+- The round's commit is cut at the attempt that reaches the edge
+  target, and the generator skips the draws of the committed attempts
+  only, so the next round reads the very draws the loop would.
+
+Deletions read the draws that follow in bulk as well: `_sample_indices`
+gives what `SplitMix64.sample_indices` gives, and the splice positions
+come from `SplitMix64.below_each`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, UpdateView, materialize
+from .errors import TooLargeError
+from .graph import MAX_VERTEX, Graph, UpdateView, materialize
 from .prng import SplitMix64
 from .streamio import StreamFile
+
+# attempts drawn per round: long enough to amortize numpy's per-call
+# cost, short enough that a round's arrays stay a few MB
+_BLOCK = 1 << 17
+# F iterations per round before the round commits its exact prefix only
+_F_STEPS = 16
 
 
 def generate_stream(
@@ -32,10 +69,13 @@ def generate_stream(
     for a fraction of n * delta / 2.  Both are upper targets, capped at
     n * delta / 2 and at the n * (n - 1) / 2 vertex pairs: if the
     degree cap makes a draw impossible the builder stops early after a
-    bounded number of rejected attempts.
+    bounded number of rejected attempts.  n is at most `MAX_VERTEX`, so
+    every edge keys into one int64.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if n > MAX_VERTEX:
+        raise TooLargeError(f"n = {n} is above MAX_VERTEX = {MAX_VERTEX}")
     if delta < 0:
         raise ValueError("delta must be nonnegative")
     if not 0.0 <= deletion_fraction <= 1.0:
@@ -51,38 +91,125 @@ def generate_stream(
     target = max(0, min(target, cap, n * (n - 1) // 2))
 
     rng = SplitMix64(seed)
-    degree = [0] * (n + 1)
-    present: set[tuple[int, int]] = set()
-    inserts: list[tuple[int, int]] = []
-    attempts = 30 * target + 100
-    while len(inserts) < target and attempts > 0:
-        attempts -= 1
-        u = rng.below(n) + 1
-        v = rng.below(n) + 1
-        if u == v:
-            continue
-        e = (u, v) if u < v else (v, u)
-        if e in present or degree[e[0]] >= delta or degree[e[1]] >= delta:
-            continue
-        present.add(e)
-        degree[e[0]] += 1
-        degree[e[1]] += 1
-        inserts.append(e)
-
-    m = len(inserts)
+    # a degree never passes n - 1, so a cap above n changes nothing
+    lo, hi = _insertions(n, min(delta, n), target, rng)
+    m = lo.shape[0]
     delete_count = int(deletion_fraction * m)
     # event keys: insertion i sits at 2i, a deletion draws an odd key
     # after its insertion; a stable sort keeps the draw order on ties
-    keys = list(range(0, 2 * m, 2))
-    rows = list(range(m))
-    for i in rng.sample_indices(delete_count, m) if delete_count else []:
-        keys.append(2 * rng.randint(i + 1, m) - 1)
-        rows.append(i)
-    order = np.argsort(np.array(keys, dtype=np.int64), kind="stable")
-    pairs = np.array(inserts, dtype=np.int64).reshape(m, 2)
-    pairs = pairs[np.array(rows, dtype=np.int64)[order]]
+    rows = np.arange(m)
+    keys = 2 * rows
+    if delete_count:
+        chosen = _sample_indices(rng, delete_count, m)
+        after = chosen + 1 + rng.below_each(m - chosen).astype(np.int64)
+        keys = np.concatenate((keys, 2 * after - 1))
+        rows = np.concatenate((rows, chosen))
+    order = np.argsort(keys, kind="stable")
+    rows = rows[order]
     signs = np.where(order < m, 1, -1).astype(np.int64)
-    return StreamFile(n, delta, UpdateView(signs, pairs[:, 0].copy(), pairs[:, 1].copy()))
+    return StreamFile(n, delta, UpdateView(signs, lo[rows], hi[rows]))
+
+
+def _insertions(
+    n: int, delta: int, target: int, rng: SplitMix64
+) -> tuple[np.ndarray, np.ndarray]:
+    """The accepted edges (lo, hi), lo < hi, in insertion order."""
+    degree = np.zeros(n + 1, dtype=np.int64)
+    # sorted keys lo·(n+1)+hi of the edges in, then one above every key
+    present = np.array([np.iinfo(np.int64).max])
+    los = [np.empty(0, dtype=np.int64)]
+    his = los[:]
+    accepted = 0
+    attempts = 30 * target + 100
+    rate = 1.0  # edges per attempt in the last round
+    while accepted < target and attempts > 0:
+        # a round a little longer than the edges still wanted need at
+        # the last rate, so a small target draws little; a round of any
+        # length gives the same edges
+        want = min(_BLOCK, attempts, int((target - accepted) * 1.25 / rate) + 64)
+        # two draws an attempt; the spare ones cover `below`'s rejections
+        values, ends = rng.below_block(n, 2 * want + 64)
+        pairs = min(want, values.shape[0] // 2)
+        u = values[0 : 2 * pairs : 2].astype(np.int64) + 1
+        v = values[1 : 2 * pairs : 2].astype(np.int64) + 1
+        lo, hi = np.minimum(u, v), np.maximum(u, v)
+        key = lo * (n + 1) + hi
+        cand = np.flatnonzero((lo != hi) & (degree[lo] < delta) & (degree[hi] < delta))
+        # the first draw of each pair that is not in yet
+        by_key = cand[np.argsort(key[cand])]
+        keys = key[by_key]
+        head = np.ones(keys.shape[0], dtype=bool)
+        head[1:] = keys[1:] != keys[:-1]
+        first = np.minimum.reduceat(by_key, np.flatnonzero(head)) if keys.size else by_key
+        keys = keys[head]
+        cand = np.sort(first[present[np.searchsorted(present, keys)] != keys])
+
+        take, decided = _degree_rule(lo[cand], hi[cand], degree, delta)
+        done = pairs if decided == cand.shape[0] else int(cand[decided - 1]) + 1
+        cand = cand[:decided][take]
+        if cand.shape[0] >= target - accepted:
+            cand = cand[: target - accepted]
+            done = int(cand[-1]) + 1
+        rng.skip(int(ends[2 * done - 1]))
+        attempts -= done
+        rate = max(cand.shape[0], 1) / done
+        accepted += cand.shape[0]
+        los.append(lo[cand])
+        his.append(hi[cand])
+        np.add.at(degree, los[-1], 1)
+        np.add.at(degree, his[-1], 1)
+        new = np.sort(key[cand])
+        present = np.insert(present, np.searchsorted(present, new), new)
+    return np.concatenate(los), np.concatenate(his)
+
+
+def _degree_rule(
+    lo: np.ndarray, hi: np.ndarray, degree: np.ndarray, delta: int
+) -> tuple[np.ndarray, int]:
+    """Which candidates, in draw order, the loop accepts while both ends
+    stay below delta: (take, decided), exact for the first `decided`
+    candidates.  See the module docstring for why the iteration is exact."""
+    count = lo.shape[0]
+    ends = np.stack((lo, hi), axis=1).ravel()  # candidate c at 2c, 2c + 1
+    # by vertex, draw order within: the keys are distinct, so any sort
+    # gives this order (n·2^18 stays far below 2^63)
+    order = np.argsort(ends * (2 * count) + np.arange(2 * count))
+    vertex = ends[order]
+    head = np.ones(2 * count, dtype=bool)
+    head[1:] = vertex[1:] != vertex[:-1]
+    run_head = np.flatnonzero(head)[np.cumsum(head) - 1]
+    owner = order >> 1
+    room = delta - degree[vertex]
+    take = np.ones(count, dtype=bool)
+    for _ in range(_F_STEPS):
+        held = take[owner]
+        before = np.cumsum(held) - held  # accepted ends earlier in the run ...
+        before -= before[run_head]  # ... of this vertex
+        ok = np.empty(2 * count, dtype=bool)
+        ok[order] = before < room
+        step = ok[0::2] & ok[1::2]
+        differ = np.flatnonzero(step != take)
+        if differ.shape[0] == 0:
+            return take, count
+        take = step
+    first = int(differ[0]) + 1
+    return take[:first], first
+
+
+def _sample_indices(rng: SplitMix64, count: int, universe: int) -> np.ndarray:
+    """`rng.sample_indices(count, universe)` in bulk, as int64."""
+    seen = np.zeros(universe, dtype=bool)
+    left = count
+    draws = 2 * min(universe, _BLOCK)
+    while left:
+        values, ends = rng.below_block(universe, draws)
+        _, first = np.unique(values, return_index=True)
+        first = np.sort(first)
+        first = first[~seen[values[first]]][:left]
+        seen[values[first]] = True
+        left -= first.shape[0]
+        rng.skip(int(ends[first[-1]]) if not left else draws)
+    return np.flatnonzero(seen)
 
 
 def generate_graph(n: int, delta: int, seed: int, edge_target: int | None = None) -> Graph:

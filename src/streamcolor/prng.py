@@ -12,23 +12,42 @@ generator is the standard splitmix64 step:
 
 Bounded draws use rejection below the largest multiple of the bound, so
 `below` and `chance` are exactly uniform, not approximately.
+
+The state after i steps is seed + i·γ mod 2^64, so output i (i = 1, 2,
+...) is the mix of seed + i·γ alone.  `block` computes many outputs at
+once in uint64 arithmetic, and `skip` moves the state past as many
+draws as the caller used; `below_block` and `below_each` give the
+values of repeated `below` calls in bulk, counting every draw that the
+rejection discards, so a bulk caller stays on the very sequence the
+scalar calls would read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
+
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
 
 
 def splitmix64_next(state: int) -> tuple[int, int]:
     """Advance one splitmix64 step; return (new_state, output)."""
     state = (state + _GAMMA) & _MASK
     z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    z = ((z ^ (z >> 30)) * _MUL1) & _MASK
+    z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return state, z ^ (z >> 31)
+
+
+def _limits(bounds: np.ndarray) -> np.ndarray:
+    """Largest multiple of each bound that fits in 2^64, minus one: the
+    greatest draw `below` accepts."""
+    # 2^64 mod b is (2^64 - b) mod b, and 2^64 - b is -b in uint64
+    return ~((-bounds) % bounds)
 
 
 class SplitMix64:
@@ -42,6 +61,55 @@ class SplitMix64:
     def next_u64(self) -> int:
         self.state, out = splitmix64_next(self.state)
         return out
+
+    def block(self, count: int) -> np.ndarray:
+        """The next `count` outputs as uint64, without advancing."""
+        z = np.arange(1, count + 1, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)  # uint64 arrays wrap mod 2^64
+        z += np.uint64(self.state)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MUL1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MUL2)
+        z ^= z >> np.uint64(31)
+        return z
+
+    def skip(self, draws: int) -> None:
+        """Advance past `draws` outputs, as that many `next_u64` would."""
+        self.state = (self.state + draws * _GAMMA) & _MASK
+
+    def below_block(self, bound: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """What repeated `below(bound)` returns from the next `count`
+        draws, without advancing.
+
+        Returns the values as uint64 and, for each, the number of draws
+        through it, rejected ones included: after using the first k
+        values, `skip(ends[k - 1])` puts the state where k `below` calls
+        would have left it.  `bound` lies in [1, 2^64).
+        """
+        if not 0 < bound <= _MASK:
+            raise ValueError("bound must lie in [1, 2^64)")
+        raw = self.block(count)
+        top = _limits(np.array([bound], dtype=np.uint64))
+        ends = np.flatnonzero(raw <= top) + 1
+        return raw[ends - 1] % np.uint64(bound), ends
+
+    def below_each(self, bounds: np.ndarray) -> np.ndarray:
+        """`[self.below(b) for b in bounds]` as uint64, in bulk; the state
+        advances past every draw used.  Each bound lies in [1, 2^64)."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if bounds.size and bounds.min() == 0:
+            raise ValueError("bound must lie in [1, 2^64)")
+        top = _limits(bounds)
+        out = []
+        while bounds.size:  # one round per rejected draw, rare unless a bound is near 2^64
+            raw = self.block(bounds.size)
+            rejected = np.flatnonzero(raw > top)
+            used = int(rejected[0]) if rejected.size else bounds.size
+            out.append(raw[:used] % bounds[:used])
+            self.skip(used + (used < bounds.size))
+            bounds, top = bounds[used:], top[used:]
+        return np.concatenate(out) if out else bounds
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound). Exact via rejection sampling."""

@@ -31,7 +31,8 @@ per-line rule, which gives the same result.
 Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
 ascending, one for every vertex 1..n.  `dumps_stream` and
 `dumps_coloring` emit LF endings so output bytes are platform
-independent.
+independent.  `dumps_stream` lays its update lines out with numpy, one
+byte table per 2^16 updates.
 """
 
 from __future__ import annotations
@@ -65,6 +66,8 @@ _ASCII_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 # 18 decimal digits always fit in int64
 _BULK_DIGITS = 18
+# updates per `_lines` buffer, which keeps its temporaries to a few MB
+_LINES = 1 << 16
 _PLUS, _MINUS, _SPACE, _CR, _LF, _ZERO, _HASH = b"+- \r\n0#"
 
 
@@ -227,13 +230,41 @@ def loads_stream(text: str) -> StreamFile:
 
 
 def dumps_stream(n: int, updates, delta: int | None = None) -> str:
-    lines = [f"n {n}"]
-    if delta is not None:
-        lines.append(f"delta {delta}")
     view = UpdateView.of(updates)
-    for sign, u, v in zip(view.signs.tolist(), view.us.tolist(), view.vs.tolist()):
-        lines.append(f"{'+' if sign == 1 else '-'} {u} {v}")
-    return "\n".join(lines) + "\n"
+    text = [f"n {n}\n", "" if delta is None else f"delta {delta}\n"]
+    for at in range(0, len(view), _LINES):
+        part = slice(at, at + _LINES)
+        text.append(_lines(view.signs[part], view.us[part], view.vs[part]))
+    return "".join(text)
+
+
+def _lines(signs: np.ndarray, us: np.ndarray, vs: np.ndarray) -> str:
+    """One `<+|-> <u> <v>` line with LF per update, laid out in one byte
+    table with a row per update; 0 bytes pad the vertex columns."""
+    sign = np.where(signs == 1, _PLUS, _MINUS).astype(np.uint8)[:, None]
+    space = np.full_like(sign, _SPACE)
+    table = np.concatenate(
+        (sign, space, _decimal(us), space, _decimal(vs), np.full_like(sign, _LF)), axis=1
+    ).ravel()
+    return table[table != 0].tobytes().decode("ascii")
+
+
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """int64 values in decimal, one right-aligned row each, 0 bytes before."""
+    negative = values < 0
+    mag = values.view(np.uint64).copy()
+    np.negative(mag, out=mag, where=negative)  # |int64 min| = 2^63 fits
+    width = len(str(mag.max(initial=0))) + bool(negative.any())
+    out = np.zeros((values.shape[0], width), dtype=np.uint8)
+    minus, pad = np.uint8(_MINUS), np.uint8(0)
+    for col in range(width - 1, -1, -1):  # the last digit first
+        has_digit = mag > 0 if col < width - 1 else True
+        tens = mag // 10  # a floor division by a constant, far cheaper than %
+        digit = (mag - tens * 10).astype(np.uint8) + np.uint8(_ZERO)
+        out[:, col] = np.where(has_digit, digit, np.where(negative, minus, pad))
+        negative &= has_digit  # one `-`, right before the first digit
+        mag = tens
+    return out
 
 
 def read_stream(path: str | Path) -> StreamFile:

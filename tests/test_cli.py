@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -442,6 +443,21 @@ def test_vertex_count_above_max_vertex_exits_two(tmp_path, capsys):
     for flags in _COLOR_FLAGS:
         code, _, err = run(capsys, "color", "--in", str(stream), *flags)
         assert (code, err) == (2, "error: n = 9223372036854775807 is above MAX_VERTEX = 3037000499\n")
+
+
+def test_generate_vertex_count_above_max_vertex_exits_two(capsys):
+    # rejected before any per-vertex array: at n = 10^12 one would be 8 TB
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "generate", "--n", "1000000000000", "--delta", "2", "--edges", "1"
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert err == "error: n = 1000000000000 is above MAX_VERTEX = 3037000499\n"
+    assert peak < 1 << 20
 
 
 def test_empty_vertex_set_exits_two(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -109,3 +110,60 @@ def test_sample_indices(seed, pool, want):
 def test_sample_indices_rejects_oversample():
     with pytest.raises(ValueError):
         SplitMix64(0).sample_indices(3, 2)
+
+
+# gamma is about 0.62 * 2^64, so the state wraps past 2^64 at least every
+# second step of a block; seeds at and above 2^64 keep their low 64 bits
+@pytest.mark.parametrize("seed", [0, MASK, 1 << 64, (7 << 64) + 12345])
+def test_block_matches_repeated_next_u64(seed):
+    bulk = SplitMix64(seed)
+    one = SplitMix64(seed)
+    assert bulk.block(0).dtype == np.uint64 and bulk.block(0).size == 0
+    out = bulk.block(40)
+    assert bulk.state == seed & MASK  # a block does not advance
+    assert out.tolist() == [one.next_u64() for _ in range(40)]
+    bulk.skip(40)
+    assert bulk.state == one.state
+    bulk.skip(0)
+    assert bulk.state == one.state
+
+
+@pytest.mark.parametrize("bound", [1, 3, 1000, (1 << 63) + 1, MASK])
+@pytest.mark.parametrize("seed", [0, 99, (1 << 64) + 3])
+def test_below_block_matches_repeated_below(seed, bound):
+    # 2^63 + 1 rejects about half of all draws
+    bulk = SplitMix64(seed)
+    one = SplitMix64(seed)
+    values, ends = bulk.below_block(bound, 400)
+    assert bulk.state == seed & MASK
+    assert values.tolist() == [one.below(bound) for _ in range(values.size)]
+    assert ends.tolist() == sorted(set(ends.tolist())) and ends[-1] <= 400
+    if bound == (1 << 63) + 1:
+        assert 100 < values.size < 300
+    bulk.skip(int(ends[-1]))
+    assert bulk.state == one.state
+    assert bulk.below_block(bound, 0)[0].size == 0
+
+
+@given(
+    st.integers(min_value=0, max_value=1 << 70),
+    st.lists(
+        st.one_of(st.integers(1, 10**6), st.integers((1 << 63) + 1, MASK)), max_size=40
+    ),
+)
+@settings(max_examples=60)
+def test_below_each_matches_repeated_below(seed, bounds):
+    bulk = SplitMix64(seed)
+    one = SplitMix64(seed)
+    values = bulk.below_each(np.array(bounds, dtype=np.uint64))
+    assert values.tolist() == [one.below(b) for b in bounds]
+    assert bulk.state == one.state
+
+
+def test_bulk_below_rejects_bounds_out_of_range():
+    r = SplitMix64(0)
+    for bound in (0, 1 << 64):
+        with pytest.raises(ValueError):
+            r.below_block(bound, 3)
+    with pytest.raises(ValueError):
+        r.below_each(np.array([3, 0], dtype=np.uint64))

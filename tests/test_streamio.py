@@ -111,6 +111,26 @@ def test_stream_roundtrip_property(raw, delta):
     assert loads_stream(dumps_stream(9, ups, delta)) == StreamFile(9, delta, ups)
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-2, 2),
+            st.integers(-(1 << 63), (1 << 63) - 1),
+            st.integers(-(1 << 63), (1 << 63) - 1),
+        ),
+        max_size=30,
+    ),
+    st.one_of(st.none(), st.integers(min_value=0, max_value=10**30)),
+)
+@example([(1, -(1 << 63), (1 << 63) - 1), (-1, 0, -9), (0, 10**18, -(10**17))], None)
+@settings(max_examples=80)
+def test_dumps_stream_matches_per_line_format(raw, delta):
+    # reference: one f-string per line; any int64 vertex and any sign
+    lines = ["n 7"] + ([] if delta is None else [f"delta {delta}"])
+    lines += [f"{'+' if s == 1 else '-'} {u} {v}" for s, u, v in raw]
+    assert dumps_stream(7, raw, delta) == "\n".join(lines) + "\n"
+
+
 def test_coloring_roundtrip():
     c = PartialColoring(3, 2, [2, 1, 2])
     text = dumps_coloring(c)
