@@ -91,7 +91,8 @@ def generate_stream(
     target = max(0, min(target, cap, n * (n - 1) // 2))
 
     rng = SplitMix64(seed)
-    # a degree never passes n - 1, so a cap above n changes nothing
+    # a degree never passes n - 1, so a cap above n changes nothing; the
+    # clipped cap keeps the degree arithmetic in int64
     lo, hi = _insertions(n, min(delta, n), target, rng)
     m = lo.shape[0]
     delete_count = int(deletion_fraction * m)
@@ -123,9 +124,9 @@ def _insertions(
     attempts = 30 * target + 100
     rate = 1.0  # edges per attempt in the last round
     while accepted < target and attempts > 0:
-        # a round a little longer than the edges still wanted need at
-        # the last rate, so a small target draws little; a round of any
-        # length gives the same edges
+        # 1.25 times the attempts that the edges still wanted take at
+        # the last round's rate, so a small target draws little; rounds
+        # of any length give the same edges
         want = min(_BLOCK, attempts, int((target - accepted) * 1.25 / rate) + 64)
         # two draws an attempt; the spare ones cover `below`'s rejections
         values, ends = rng.below_block(n, 2 * want + 64)
@@ -140,7 +141,7 @@ def _insertions(
         keys = key[by_key]
         head = np.ones(keys.shape[0], dtype=bool)
         head[1:] = keys[1:] != keys[:-1]
-        first = np.minimum.reduceat(by_key, np.flatnonzero(head)) if keys.size else by_key
+        first = np.minimum.reduceat(by_key, np.flatnonzero(head)) if head.size else by_key
         keys = keys[head]
         cand = np.sort(first[present[np.searchsorted(present, keys)] != keys])
 

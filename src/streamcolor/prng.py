@@ -102,7 +102,8 @@ class SplitMix64:
             raise ValueError("bound must lie in [1, 2^64)")
         top = _limits(bounds)
         out = []
-        while bounds.size:  # one round per rejected draw, rare unless a bound is near 2^64
+        # one round per rejected draw: rare unless a bound is near 2^64
+        while bounds.size:
             raw = self.block(bounds.size)
             rejected = np.flatnonzero(raw > top)
             used = int(rejected[0]) if rejected.size else bounds.size
