@@ -33,9 +33,8 @@ time, and gives the bytes the one-attempt-at-a-time loop gives:
   target, and the generator skips the draws of the committed attempts
   only, so the next round reads the very draws the loop would.
 
-Deletions read the draws that follow in bulk as well: `_sample_indices`
-gives what `SplitMix64.sample_indices` gives, and the splice positions
-come from `SplitMix64.below_each`.
+Deletions are few, so they are drawn one at a time from the state the
+rounds leave, which is the state the loop leaves.
 """
 
 from __future__ import annotations
@@ -101,10 +100,10 @@ def generate_stream(
     rows = np.arange(m)
     keys = 2 * rows
     if delete_count:
-        chosen = _sample_indices(rng, delete_count, m)
-        after = chosen + 1 + rng.below_each(m - chosen).astype(np.int64)
-        keys = np.concatenate((keys, 2 * after - 1))
-        rows = np.concatenate((rows, chosen))
+        chosen = rng.sample_indices(delete_count, m)
+        after = [rng.randint(i + 1, m) for i in chosen]
+        keys = np.concatenate((keys, 2 * np.array(after, dtype=np.int64) - 1))
+        rows = np.concatenate((rows, np.array(chosen, dtype=np.int64)))
     order = np.argsort(keys, kind="stable")
     rows = rows[order]
     signs = np.where(order < m, 1, -1).astype(np.int64)
@@ -195,22 +194,6 @@ def _degree_rule(
         take = step
     first = int(differ[0]) + 1
     return take[:first], first
-
-
-def _sample_indices(rng: SplitMix64, count: int, universe: int) -> np.ndarray:
-    """`rng.sample_indices(count, universe)` in bulk, as int64."""
-    seen = np.zeros(universe, dtype=bool)
-    left = count
-    draws = 2 * min(universe, _BLOCK)
-    while left:
-        values, ends = rng.below_block(universe, draws)
-        _, first = np.unique(values, return_index=True)
-        first = np.sort(first)
-        first = first[~seen[values[first]]][:left]
-        seen[values[first]] = True
-        left -= first.shape[0]
-        rng.skip(int(ends[first[-1]]) if not left else draws)
-    return np.flatnonzero(seen)
 
 
 def generate_graph(n: int, delta: int, seed: int, edge_target: int | None = None) -> Graph:

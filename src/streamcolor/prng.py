@@ -16,10 +16,10 @@ Bounded draws use rejection below the largest multiple of the bound, so
 The state after i steps is seed + i·γ mod 2^64, so output i (i = 1, 2,
 ...) is the mix of seed + i·γ alone.  `block` computes many outputs at
 once in uint64 arithmetic, and `skip` moves the state past as many
-draws as the caller used; `below_block` and `below_each` give the
-values of repeated `below` calls in bulk, counting every draw that the
-rejection discards, so a bulk caller stays on the very sequence the
-scalar calls would read.
+draws as the caller used; `below_block` gives the values of repeated
+`below` calls in bulk, counting every draw that the rejection
+discards, so a bulk caller stays on the very sequence the scalar calls
+would read.
 """
 
 from __future__ import annotations
@@ -41,13 +41,6 @@ def splitmix64_next(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * _MUL1) & _MASK
     z = ((z ^ (z >> 27)) * _MUL2) & _MASK
     return state, z ^ (z >> 31)
-
-
-def _limits(bounds: np.ndarray) -> np.ndarray:
-    """Largest multiple of each bound that fits in 2^64, minus one: the
-    greatest draw `below` accepts."""
-    # 2^64 mod b is (2^64 - b) mod b, and 2^64 - b is -b in uint64
-    return ~((-bounds) % bounds)
 
 
 class SplitMix64:
@@ -90,27 +83,10 @@ class SplitMix64:
         if not 0 < bound <= _MASK:
             raise ValueError("bound must lie in [1, 2^64)")
         raw = self.block(count)
-        top = _limits(np.array([bound], dtype=np.uint64))
+        # the greatest draw `below` accepts
+        top = np.uint64(_MASK - (1 << 64) % bound)
         ends = np.flatnonzero(raw <= top) + 1
         return raw[ends - 1] % np.uint64(bound), ends
-
-    def below_each(self, bounds: np.ndarray) -> np.ndarray:
-        """`[self.below(b) for b in bounds]` as uint64, in bulk; the state
-        advances past every draw used.  Each bound lies in [1, 2^64)."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if bounds.size and bounds.min() == 0:
-            raise ValueError("bound must lie in [1, 2^64)")
-        top = _limits(bounds)
-        out = []
-        # one round per rejected draw: rare unless a bound is near 2^64
-        while bounds.size:
-            raw = self.block(bounds.size)
-            rejected = np.flatnonzero(raw > top)
-            used = int(rejected[0]) if rejected.size else bounds.size
-            out.append(raw[:used] % bounds[:used])
-            self.skip(used + (used < bounds.size))
-            bounds, top = bounds[used:], top[used:]
-        return np.concatenate(out) if out else bounds
 
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound). Exact via rejection sampling."""

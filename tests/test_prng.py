@@ -145,25 +145,8 @@ def test_below_block_matches_repeated_below(seed, bound):
     assert bulk.below_block(bound, 0)[0].size == 0
 
 
-@given(
-    st.integers(min_value=0, max_value=1 << 70),
-    st.lists(
-        st.one_of(st.integers(1, 10**6), st.integers((1 << 63) + 1, MASK)), max_size=40
-    ),
-)
-@settings(max_examples=60)
-def test_below_each_matches_repeated_below(seed, bounds):
-    bulk = SplitMix64(seed)
-    one = SplitMix64(seed)
-    values = bulk.below_each(np.array(bounds, dtype=np.uint64))
-    assert values.tolist() == [one.below(b) for b in bounds]
-    assert bulk.state == one.state
-
-
 def test_bulk_below_rejects_bounds_out_of_range():
     r = SplitMix64(0)
     for bound in (0, 1 << 64):
         with pytest.raises(ValueError):
             r.below_block(bound, 3)
-    with pytest.raises(ValueError):
-        r.below_each(np.array([3, 0], dtype=np.uint64))
