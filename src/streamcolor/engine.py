@@ -64,11 +64,24 @@ from .recovery import SparseRecoverySketch, edge_encode_array
 from .streamio import StreamFile
 
 
+# bytes of per-vertex state a colorer holds at its peak, rounded up: the
+# degree and color arrays, the greedy step's adjacency sets, the
+# coloring's Python lists and its output text.  A `color` child on a
+# three-edge stream with n = 2,000,000 peaked 618 MB above an n = 10 run
+# with --alg two-pass or --unknown-delta (309 bytes per vertex) and
+# 560 MB with --alg iterative.
+VERTEX_STATE_BYTES = 320
+# the most per-vertex state a colorer may ask for (2 GiB): n <= 6710886
+MAX_VERTEX_STATE_BYTES = 1 << 31
+
+
 class StreamSource:
     """Replayable edge-update sequence with declared n.
 
     Every replay yields the identical sequence.  `replays` counts how
-    many passes have been taken over the source.
+    many passes have been taken over the source.  n must leave the
+    colorers' per-vertex state within MAX_VERTEX_STATE_BYTES, which is
+    checked here, before any of it is allocated.
     """
 
     def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
@@ -77,6 +90,11 @@ class StreamSource:
         if n > MAX_VERTEX:
             # the engine keys edges in int64 and holds arrays indexed by vertex
             raise TooLargeError(f"n = {n} is above MAX_VERTEX = {MAX_VERTEX}")
+        if n * VERTEX_STATE_BYTES > MAX_VERTEX_STATE_BYTES:
+            raise TooLargeError(
+                f"n = {n} needs about {n * VERTEX_STATE_BYTES} bytes of per-vertex "
+                f"state, above the cap of {MAX_VERTEX_STATE_BYTES} bytes"
+            )
         self.n = n
         self.updates = UpdateView.of(updates)
         self.replays = 0

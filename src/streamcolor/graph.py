@@ -217,33 +217,45 @@ def legal_final_edges(
     fails.  The final edges come back as (lo, hi) int64 arrays in sorted
     order.
 
-    The multiplicity check sorts the updates stably by edge, so that a
-    running sum of signs inside each edge's run is its multiplicity.
+    The multiplicity check sorts the updates stably by edge.  With signs
+    of +1 and -1, an edge's multiplicity stays in {0, 1} exactly when its
+    run of updates alternates +1, -1, +1, ..., and its final
+    multiplicity is 1 when the run ends on +1.  The steps work in place
+    where they can, so the temporaries peak at about three int64 words
+    per update: the edge keys, their sort order and the sorted keys.
     """
-    bad = (lo == hi) | (lo < 1) | (hi > n) | (np.abs(signs) != 1)
+    bad = lo == hi
+    bad |= lo < 1
+    bad |= hi > n
+    bad |= (signs != 1) & (signs != -1)
     first = int(np.argmax(bad)) if bad.any() else len(signs)
+    del bad
     # updates before the first malformed one decide any earlier violation
     base = int(hi[:first].max(initial=0)) + 1
     if base > MAX_VERTEX + 1:
         raise TooLargeError(f"vertex {base - 1} is above MAX_VERTEX = {MAX_VERTEX}")
-    keys = lo[:first] * base + hi[:first]
+    keys = lo[:first] * base
+    keys += hi[:first]
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    sgn = signs[order]
-    run_start = np.ones(keys.size, dtype=bool)
-    run_start[1:] = keys[1:] != keys[:-1]
-    total = np.cumsum(sgn)
-    # multiplicity: the running sum minus its value before the edge's run
-    run_first = np.maximum.accumulate(np.where(run_start, np.arange(keys.size), 0))
-    mult = total - (total - sgn)[run_first]
-    wrong = (mult < 0) | (mult > 1)
+    insert = (signs[:first] == 1)[order]
+    # same[i]: update i continues the run of update i - 1
+    same = keys[1:] == keys[:-1]
+    # an update breaks the rule when its sign repeats the one before it in
+    # its run; a run starts as if after a deletion
+    wrong = np.zeros(keys.size, dtype=bool)
+    np.logical_and(insert[:-1], same, out=wrong[1:])
+    np.equal(wrong, insert, out=wrong)
     if wrong.any():
         first = int(order[wrong].min())
     if first < len(signs):
         _raise_illegal(n, int(signs[first]), int(lo[first]), int(hi[first]))
-    run_end = np.append(run_start[1:], True)
-    final = keys[run_end & (mult == 1)]
-    return final // base, final % base
+    del order
+    # the last update of each run is +1 where the edge is in the final graph
+    insert[:-1] &= ~same
+    final = keys[insert]
+    del keys
+    return np.divmod(final, base)
 
 
 def _raise_illegal(n: int, sign: int, u: int, v: int) -> None:

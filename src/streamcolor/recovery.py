@@ -31,8 +31,13 @@ from .errors import OutOfRangeError, RecoveryFailedError
 from .graph import Edge, normalize_edge
 from .hashfam import smallest_prime_above
 
-# elements per int64 work block (2 MiB), so temporaries stay small
-_BLOCK_ELEMS = 1 << 18
+# elements per int64 work block (512 KiB), so temporaries stay small.  On
+# the n = 1760 dynamic benchmark stream, in-process two-pass --dynamic
+# took a median 0.066 s with 2^16 (0.063 s with 2^17 or 2^18, 0.093 s with
+# 2^14), and a `color` child peaked at 35.7 MB RSS against 38.3 MB with
+# 2^17 and 41.4 MB with 2^18 (2-vCPU x86 VM).  With `%` reductions and
+# 2^18 blocks it took 0.11-0.13 s.
+_BLOCK_ELEMS = 1 << 16
 # most limbs per int64 product.  At n = 50000 (61-bit q, 31 limbs) int64
 # update_batch and decode ran in about half the time of Python ints; at
 # n = 60000 (62-bit q, 62 limbs) update_batch tied and peak RSS rose 12 MB,
@@ -92,12 +97,14 @@ class _Fq:
     """Vectorized arithmetic mod q, on int64 while that is the faster way.
 
     A product a * b is formed by Horner's rule over the limbs of b, each
-    w = 63 - bits(q) bits wide:  r = ((r << w) + a * limb) % q.  Both
+    w = 63 - bits(q) bits wide:  r = ((r << w) + a * limb) mod q.  Both
     terms stay below 2^63, so the step runs on uint64 views of the int64
-    arrays.  The largest b sets the limb count, and one limb (a plain
-    a * b % q) covers every q < 2^31.  The limb count grows as q nears
-    2^62; once a full-size product needs more than _MAX_LIMBS limbs,
-    arrays hold Python integers instead.
+    arrays.  It reduces t as t - (t // q) * q, because numpy divides an
+    array by a scalar much faster with `//` than with `%`.  The largest b
+    sets the limb count, and one limb (a plain a * b mod q) covers every
+    q < 2^31.  The limb count grows as q nears 2^62; once a full-size
+    product needs more than _MAX_LIMBS limbs, arrays hold Python integers
+    instead, reduced with `%`.
     """
 
     def __init__(self, q: int):
@@ -132,15 +139,22 @@ class _Fq:
             (b >> (w * i)) & mask for i in range(count - 2, -1, -1)
         ]
 
-    def mul_split(self, a: np.ndarray, limbs: list[np.ndarray]) -> np.ndarray:
-        """a * b mod q, with b given as split(b); a in [0, q)."""
+    def mul_split(
+        self, a: np.ndarray, limbs: list[np.ndarray], add: int = 0
+    ) -> np.ndarray:
+        """(a * b + add) mod q, with b given as split(b); a and add in [0, q)."""
         if self.dtype is object:
-            return a * limbs[0] % self.q
+            return (a * limbs[0] + add) % self.q
         q, w = np.uint64(self.q), np.uint64(self.w)
         a = a.view(np.uint64)
-        r = a * limbs[0].view(np.uint64) % q
+        r = a * limbs[0].view(np.uint64)
         for limb in limbs[1:]:
-            r = ((r << w) + a * limb.view(np.uint64)) % q
+            r -= r // q * q
+            r <<= w
+            r += a * limb.view(np.uint64)
+        if add:  # below 2^64 still: (q - 1) * 2^(w + 1) bounds the sum
+            r += np.uint64(add)
+        r -= r // q * q
         return r.view(np.int64)
 
     def sums(self, values: np.ndarray, axis: int) -> np.ndarray:
@@ -303,7 +317,7 @@ class SparseRecoverySketch:
             # reversed connection polynomial has survivor encodings as roots
             acc = fq.asarray(np.ones(block.size, dtype=np.int64))
             for coef in conn[1:]:
-                acc = (fq.mul_split(acc, limbs) + coef) % self.q
+                acc = fq.mul_split(acc, limbs, coef)
             found.append(block[np.asarray(acc == 0, dtype=bool)])
         roots = np.concatenate(found) if found else np.array([], dtype=np.int64)
         if roots.size != deg:

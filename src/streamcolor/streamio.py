@@ -22,11 +22,18 @@ Parsing checks syntax only.  Whether the updates form a legal stream
 in {0, 1}) is the one legality rule, `graph.legal_final_edges`, which
 `color` and `verify` both apply; the CLI exits 2 on any illegal stream.
 
-The parser reads the whole buffer with numpy: lines of the form
-`[+-] <digits> <digits>`, single spaces, at most 18 digits per vertex,
-are decoded in bulk into int64 (sign, u, v) arrays, and empty lines and
+The parser walks the buffer in blocks of whole lines, about 64 KiB each,
+as views of one numpy array over the bytes.  In each block, lines of the
+form `[+-] <digits> <digits>`, single spaces, at most 18 digits per
+vertex, are decoded in bulk into int64 (sign, u, v), and empty lines and
 lines starting `#` are dropped.  Every other line goes through the
-per-line rule, which gives the same result.
+per-line rule, which gives the same result.  Line numbers and the first
+bulk update (named if the header comes after it) carry over from block
+to block, and each block's updates are written in line order into one
+preallocated int64 table with room for an update per line, so the
+parser's temporaries scale with the block and not with the stream.  A
+buffer with a line break other than LF and CRLF is numbered by
+`str.splitlines` and read by the per-line rule alone, in blocks of lines.
 
 Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
 ascending, one for every vertex 1..n.  `dumps_stream` and
@@ -38,8 +45,9 @@ byte table per 2^16 updates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -68,6 +76,14 @@ _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 _BULK_DIGITS = 18
 # updates per `_lines` buffer, which keeps its temporaries to a few MB
 _LINES = 1 << 16
+# bytes per parse block (see `_scan`).  On the n = 2000, delta = 300
+# benchmark stream (150k updates, 1.6 MB) `read_stream` traced a 6.7 MB
+# peak with 2^16, of which 5.2 MB are the file and the output, against
+# 31.9 MB for one whole-buffer scan; 2^18 peaked at 10.9 MB, and 2^14
+# saved 1.1 MB but took a third longer (2-vCPU x86 VM).
+_BLOCK_BYTES = 1 << 16
+# lines per parse block where the per-line rule reads every line
+_SPLIT_LINES = 1 << 12
 _PLUS, _MINUS, _SPACE, _CR, _LF, _ZERO, _HASH = b"+- \r\n0#"
 
 
@@ -90,15 +106,34 @@ def _digits(buf: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray
     return value
 
 
-def _scan(data: bytes):
-    """Split an LF/CRLF buffer into lines and decode the lines
-    `[+-] <digits> <digits>` in bulk.
+def _scan(data: bytes) -> Iterator[tuple[tuple, Iterable[tuple[int, str]]]]:
+    """Decode an LF/CRLF buffer block by block with `_scan_block`.
 
-    Returns their line numbers, int64 (sign, u, v) arrays and the text of
-    the first one, then every other line that is not empty and does not
-    start with `#` as (line number, text).
+    A block holds the whole lines that start in the next _BLOCK_BYTES
+    bytes: it ends right after an LF or at the end of the data, and a
+    longer line is a block of its own.  Blocks are views of one array
+    over `data`.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
+    start = before = 0
+    while start < len(data):
+        end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if end <= start:  # no break in the window: the line runs on
+            end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
+        bulk, lines, before = _scan_block(buf[start:end], before)
+        yield bulk, lines
+        start = end
+
+
+def _scan_block(buf: np.ndarray, before: int):
+    """Split one block, whose first line is line `before + 1`, into
+    lines and decode the lines `[+-] <digits> <digits>` in bulk.
+
+    Returns their line numbers, int64 (sign, u, v) arrays and the text of
+    the first one; then every other line that is not empty and does not
+    start with `#` as (line number, text); then the number of lines
+    before the next block.
+    """
     size = buf.shape[0]
     breaks = np.flatnonzero(buf == _LF)
     starts = np.concatenate(([0], breaks + 1))
@@ -134,20 +169,20 @@ def _scan(data: bytes):
     bulk_idx = cand[ok]
     s, mid, ulen, vlen = s[ok], mid[ok], ulen[ok], vlen[ok]
     bulk = (
-        bulk_idx + 1,
+        bulk_idx + (before + 1),
         np.where(buf[s] == _PLUS, 1, -1).astype(np.int64),
         _digits(buf, s + 2, ulen),
         _digits(buf, mid + 1, vlen),
-        data[s[0] : e[ok][0]].decode() if s.size else "",
+        buf[s[0] : e[ok][0]].tobytes().decode() if s.size else "",
     )
 
     # the per-line rule skips empty lines and lines starting `#` anyway
     rest = (ends > starts) & (buf[starts] != _HASH)
     rest[bulk_idx] = False
-    # gathered with their LF or CRLF breaks, the only breaks in `data`
+    # gathered with their LF or CRLF breaks, the only breaks in the block
     text = buf[np.repeat(rest, width)].tobytes().decode("utf-8", "surrogatepass")
-    lines = zip((np.flatnonzero(rest) + 1).tolist(), text.splitlines())
-    return bulk, lines
+    lines = zip((np.flatnonzero(rest) + (before + 1)).tolist(), text.splitlines())
+    return bulk, lines, before + starts.shape[0]
 
 
 def _int64(token: str) -> int:
@@ -159,70 +194,92 @@ def _int64(token: str) -> int:
 
 def _parse(data: bytes) -> StreamFile:
     """The stream parser; see the module docstring for the grammar."""
-    text = None if data.isascii() else _utf8(data)
+    ascii_only = data.isascii()
+    if not ascii_only:
+        _utf8(data)  # names the first line that is not UTF-8
     lone_cr = b"\r" in data and data.count(b"\r") != data.count(b"\r\n")
-    other_breaks = _ASCII_BREAKS if text is None else _UTF8_BREAKS
+    other_breaks = _ASCII_BREAKS if ascii_only else _UTF8_BREAKS
     if lone_cr or any(b in data for b in other_breaks):
-        # number the lines the way str.splitlines breaks them
+        # number the lines the way str.splitlines breaks them, and read
+        # them by the per-line rule alone, in blocks of _SPLIT_LINES lines
+        lines = data.decode("utf-8", "surrogatepass").splitlines()
+        capacity = len(lines)
+        numbered = enumerate(lines, start=1)
+        del lines  # the list goes once `numbered` has run through it
         none = np.empty(0, dtype=np.int64)
-        bulk = (none, none, none, none, "")
-        lines: Iterable[tuple[int, str]] = enumerate(
-            (data.decode() if text is None else text).splitlines(), start=1
+        blocks: Iterable = (
+            ((none, none, none, none, ""), islice(numbered, _SPLIT_LINES))
+            for _ in range(0, capacity, _SPLIT_LINES)
         )
     else:
-        bulk, lines = _scan(data)
-    bulk_lineno, signs, us, vs, first_text = bulk
-    first_bulk = int(bulk_lineno[0]) if bulk_lineno.size else None
+        blocks = _scan(data)
+        # counted in blocks too: bytes.count takes 8x as long
+        buf = np.frombuffer(data, dtype=np.uint8)
+        capacity = 1 + sum(
+            int(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == _LF))
+            for at in range(0, len(data), _BLOCK_BYTES)
+        )
 
     def cannot_parse(lineno: int, raw: str) -> StreamFormatError:
         return StreamFormatError(f"line {lineno}: cannot parse {raw!r}")
 
     n: int | None = None
     delta: int | None = None
-    rows: list[int] = []  # (line number, sign, u, v) of per-line updates
-    for lineno, raw in lines:
-        if n is None and first_bulk is not None and first_bulk < lineno:
-            raise cannot_parse(first_bulk, first_text)
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        try:
-            if parts[0] == "n":
-                if n is not None or len(parts) != 2:
+    first_bulk: tuple[int, str] | None = None  # line number and text
+    # (sign, u, v) rows, at most one update per line
+    out = np.empty((3, capacity), dtype=np.int64)
+    filled = 0
+    for (bulk_lineno, signs, us, vs, first_text), lines in blocks:
+        if first_bulk is None and bulk_lineno.size:
+            first_bulk = (int(bulk_lineno[0]), first_text)
+        rows: list[int] = []  # (line number, sign, u, v) of per-line updates
+        for lineno, raw in lines:
+            if n is None and first_bulk is not None and first_bulk[0] < lineno:
+                raise cannot_parse(*first_bulk)
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split()
+            try:
+                if parts[0] == "n":
+                    if n is not None or len(parts) != 2:
+                        raise ValueError
+                    n = _int64(parts[1])
+                elif parts[0] == "delta":
+                    if delta is not None or n is None or len(parts) != 2:
+                        raise ValueError
+                    delta = _int64(parts[1])
+                elif parts[0] in ("+", "-"):
+                    if n is None or len(parts) != 3:
+                        raise ValueError
+                    u, v = int(parts[1]), int(parts[2])
+                    if u not in _INT64 or v not in _INT64:
+                        raise ValueError
+                    rows += (lineno, 1 if parts[0] == "+" else -1, u, v)
+                else:
                     raise ValueError
-                n = _int64(parts[1])
-            elif parts[0] == "delta":
-                if delta is not None or n is None or len(parts) != 2:
-                    raise ValueError
-                delta = _int64(parts[1])
-            elif parts[0] in ("+", "-"):
-                if n is None or len(parts) != 3:
-                    raise ValueError
-                u, v = int(parts[1]), int(parts[2])
-                if u not in _INT64 or v not in _INT64:
-                    raise ValueError
-                rows += (lineno, 1 if parts[0] == "+" else -1, u, v)
-            else:
-                raise ValueError
-        except ValueError as exc:
-            raise cannot_parse(lineno, raw) from exc
+            except ValueError as exc:
+                raise cannot_parse(lineno, raw) from exc
+        if n is None and first_bulk is not None:  # the header comes too late
+            raise cannot_parse(*first_bulk)
+        fields = (signs, us, vs)
+        if rows:  # merge the block's per-line updates into line order
+            extra = np.array(rows, dtype=np.int64).reshape(-1, 4)
+            order = np.argsort(np.concatenate((bulk_lineno, extra[:, 0])))
+            fields = tuple(
+                np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(fields, 1)
+            )
+        count = fields[0].shape[0]
+        for row, col in zip(out, fields):
+            row[filled : filled + count] = col
+        filled += count
     if n is None:
-        if first_bulk is not None:
-            raise cannot_parse(first_bulk, first_text)
         raise StreamFormatError("missing `n <N>` header")
     if n < 0:
         raise StreamFormatError("n must be nonnegative")
     if delta is not None and delta < 0:
         raise StreamFormatError("delta must be nonnegative")
-    fields = (signs, us, vs)
-    if rows:  # merge the per-line updates into line order
-        extra = np.array(rows, dtype=np.int64).reshape(-1, 4)
-        order = np.argsort(np.concatenate((bulk_lineno, extra[:, 0])))
-        fields = tuple(
-            np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(fields, 1)
-        )
-    return StreamFile(n, delta, UpdateView(*fields))
+    return StreamFile(n, delta, UpdateView(*out[:, :filled]))
 
 
 def loads_stream(text: str) -> StreamFile:

@@ -6,11 +6,13 @@ import json
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamcolor import engine
 from streamcolor.cli import main
 
 TRIANGLE = "n 3\ndelta 2\n+ 1 2\n+ 2 3\n+ 1 3\n"
@@ -460,6 +462,36 @@ def test_generate_vertex_count_above_max_vertex_exits_two(capsys):
     assert peak < 1 << 20
 
 
+def test_vertex_state_above_the_cap_exits_two(tmp_path, capsys):
+    # rejected before any per-vertex array: the cap is 2 GiB of such state
+    n = engine.MAX_VERTEX_STATE_BYTES // engine.VERTEX_STATE_BYTES + 1
+    need = n * engine.VERTEX_STATE_BYTES
+    stream = tmp_path / "s.txt"
+    stream.write_text(f"n {n}\ndelta 2\n+ 1 2\n")
+    for flags in _COLOR_FLAGS:
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "color", "--in", str(stream), *flags)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: n = {n} needs about {need} bytes of per-vertex state, "
+            f"above the cap of {engine.MAX_VERTEX_STATE_BYTES} bytes\n"
+        )
+        assert peak < 1 << 20
+
+
+def test_vertex_state_cap_is_inclusive(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "MAX_VERTEX_STATE_BYTES", 5 * engine.VERTEX_STATE_BYTES)
+    stream = tmp_path / "s.txt"
+    for n, expected in ((5, 0), (6, 2)):
+        stream.write_text(f"n {n}\ndelta 2\n+ 1 2\n")
+        for flags in _COLOR_FLAGS:
+            assert run(capsys, "color", "--in", str(stream), *flags)[0] == expected
+
+
 def test_empty_vertex_set_exits_two(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("n 0\ndelta 0\n")
@@ -525,10 +557,19 @@ def _fuzz_coloring(draw):
     return _mutate(draw, "".join(f"{v} {v}\n" for v in range(1, 9)))
 
 
-@given(_fuzz_stream(), st.sampled_from(_COLOR_FLAGS), _fuzz_coloring())
+@given(
+    _fuzz_stream(),
+    st.sampled_from(_COLOR_FLAGS),
+    _fuzz_coloring(),
+    st.integers(min_value=5, max_value=10),
+)
 @settings(max_examples=200, deadline=None)
-def test_fuzzed_streams_exit_with_documented_codes(data, flags, coloring):
-    with tempfile.TemporaryDirectory() as tmp:
+def test_fuzzed_streams_exit_with_documented_codes(data, flags, coloring, cap_n):
+    # the per-vertex state cap, scaled down so that header n lands on both sides
+    cap = mock.patch.object(
+        engine, "MAX_VERTEX_STATE_BYTES", cap_n * engine.VERTEX_STATE_BYTES
+    )
+    with tempfile.TemporaryDirectory() as tmp, cap:
         stream = Path(tmp, "s.txt")
         stream.write_bytes(data)
         colors = Path(tmp, "c.txt")

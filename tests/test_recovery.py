@@ -85,10 +85,15 @@ def test_field_multiply_matches_python_ints(q):
     rng = np.random.default_rng(7)
     a = rng.integers(0, q, size=200)
     b = rng.integers(0, q, size=200)
+    a[:2] = b[:2] = q - 1  # the largest terms of the one-step reduction
     got = fq.mul_split(fq.asarray(a.tolist()), fq.split(fq.asarray(b.tolist())))
     want = [(int(x) * int(y)) % q for x, y in zip(a, b)]
     assert [int(g) for g in got] == want
     assert int(fq.sums(fq.asarray(want), 0)) == sum(want) % q
+    # the fused Horner step of decode: a * b + add, reduced once
+    for add in (1, q // 2, q - 1):
+        got = fq.mul_split(fq.asarray(a.tolist()), fq.split(fq.asarray(b.tolist())), add)
+        assert [int(g) for g in got] == [(int(x) * int(y) + add) % q for x, y in zip(a, b)]
 
 
 def test_sum_of_many_values_near_the_largest_int64_modulus():

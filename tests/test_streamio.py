@@ -1,12 +1,15 @@
 """Round-trip and validation tests for the text stream / coloring formats."""
 
+import contextlib
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from streamcolor import streamio
 from streamcolor.errors import StreamFormatError
 from streamcolor.graph import EdgeUpdate, PartialColoring
 from streamcolor.streamio import (
@@ -53,23 +56,23 @@ def test_dumps_then_loads_is_identity():
     assert loads_stream(dumps_stream(sf.n, sf.updates, sf.delta)) == sf
 
 
-@pytest.mark.parametrize(
-    "text",
-    [
-        "",  # missing header
-        "+ 1 2\nn 3\n",  # update before header
-        "n -1\n",
-        "n 3\nn 3\n",  # duplicate header
-        "delta 2\nn 3\n",  # delta before header
-        "n 3\ndelta -1\n",
-        "n 3\ndelta 2\ndelta 2\n",
-        "n 3\n* 1 2\n",  # unknown op
-        "n 3\n+ 1\n",  # wrong arity
-        "n 3\n+ 1 2 3\n",
-        "n 3\n+ a b\n",
-        "n x\n",
-    ],
-)
+_MALFORMED = [
+    "",  # missing header
+    "+ 1 2\nn 3\n",  # update before header
+    "n -1\n",
+    "n 3\nn 3\n",  # duplicate header
+    "delta 2\nn 3\n",  # delta before header
+    "n 3\ndelta -1\n",
+    "n 3\ndelta 2\ndelta 2\n",
+    "n 3\n* 1 2\n",  # unknown op
+    "n 3\n+ 1\n",  # wrong arity
+    "n 3\n+ 1 2 3\n",
+    "n 3\n+ a b\n",
+    "n x\n",
+]
+
+
+@pytest.mark.parametrize("text", _MALFORMED)
 def test_loads_stream_rejects_malformed(text):
     with pytest.raises(StreamFormatError):
         loads_stream(text)
@@ -246,14 +249,22 @@ def _stream_texts(draw):
     return text if draw(st.booleans()) else text.rstrip("\n")
 
 
-@given(_stream_texts())
-@example("n 3\n+  34\n+ 1 2\n")
-@example("n 3\r\n+ 1 2\r\n- 1 2\r\n+ 2 3 \r\n+ 2 x\r\n")
-@example("# c\n+ 1 2\nn 3\n")
-@example("n 3\n+ 1 2\n+ 1 2 3\n+ 0002 3")
-@example("#c\r\n\r\n n 9\r\n#\r\n + 1 2 \r\n\t# t\r\n+ 2 3\r\n #\r\n")
-@settings(max_examples=400, deadline=None)
-def test_bulk_parser_matches_per_line_oracle(text):
+_ORACLE_EXAMPLES = [
+    "n 3\n+  34\n+ 1 2\n",
+    "n 3\r\n+ 1 2\r\n- 1 2\r\n+ 2 3 \r\n+ 2 x\r\n",
+    "# c\n+ 1 2\nn 3\n",
+    "n 3\n+ 1 2\n+ 1 2 3\n+ 0002 3",
+    "#c\r\n\r\n n 9\r\n#\r\n + 1 2 \r\n\t# t\r\n+ 2 3\r\n #\r\n",
+]
+
+
+def _oracle_examples(test):
+    for text in reversed(_ORACLE_EXAMPLES):
+        test = example(text=text)(test)
+    return test
+
+
+def _assert_matches_oracle(text):
     # integers beyond the signed 64-bit range are a parse error now
     assume(not re.search(r"[\d_]{19,}", text))
     try:
@@ -266,6 +277,120 @@ def test_bulk_parser_matches_per_line_oracle(text):
     sf = loads_stream(text)
     assert (sf.n, sf.delta, tuple(sf.updates)) == expected
     assert len(sf.updates) == len(expected[2])
+
+
+@given(text=_stream_texts())
+@_oracle_examples
+@settings(max_examples=400, deadline=None)
+def test_bulk_parser_matches_per_line_oracle(text):
+    _assert_matches_oracle(text)
+
+
+# parse block sizes that cut the test texts into many blocks: a block
+# then holds one line, a few lines, or a line cut short by the window
+_TINY_BLOCKS = [1, 5, 64]
+
+
+@contextlib.contextmanager
+def _tiny(block):
+    """Parse in blocks of `block` bytes, or `block` lines where the
+    per-line rule reads every line (breaks other than LF and CRLF)."""
+    with mock.patch.object(streamio, "_BLOCK_BYTES", block), mock.patch.object(
+        streamio, "_SPLIT_LINES", block
+    ):
+        yield
+
+
+@pytest.mark.parametrize("block", _TINY_BLOCKS)
+@given(text=_stream_texts())
+@_oracle_examples
+@settings(max_examples=400, deadline=None)
+def test_bulk_parser_matches_per_line_oracle_in_tiny_blocks(block, text):
+    with _tiny(block):
+        _assert_matches_oracle(text)
+
+
+def _parsed(text):
+    """(n, delta, updates) of `text`, or the message of its parse error."""
+    try:
+        sf = loads_stream(text)
+    except StreamFormatError as exc:
+        return str(exc)
+    return sf.n, sf.delta, tuple(sf.updates)
+
+
+_PINNED_TEXTS = [
+    SAMPLE,
+    "n 3\n+ 1 2\n",
+    "\n# hi\nn 2\n\n  # indented comment\n+ 1 2\n",
+    "n 3\n+ 1 7\n",
+    "# c\n+ 007 2\nn 3\n",
+    "n 4\r\ndelta 2\r\n+ 1 2\r\n+\t3 4\r\n\r\n- 1 2\r\n",
+    "n 9223372036854775807\n+ 1 9223372036854775807\n- -9223372036854775808 1\n",
+    "n 3\n+ 1 9223372036854775808\n",
+    "n 3\n- -9223372036854775809 2\n",
+    "n 3\ndelta 99999999999999999999\n",
+    "n 9223372036854775808\n",
+    "n 3\n# \u00e9\n+ \u0663 2\n+ 1 2\n",
+    "n 3\r+ 1 2\r- 1 2\x0b+ 2 3\u2028+ 1 x\n",
+    *_MALFORMED,
+]
+
+
+@pytest.mark.parametrize("block", _TINY_BLOCKS)
+def test_pinned_texts_parse_alike_in_tiny_blocks(block):
+    expected = [_parsed(text) for text in _PINNED_TEXTS]
+    with _tiny(block):
+        assert [_parsed(text) for text in _PINNED_TEXTS] == expected
+
+
+def _in_blocks(text, blocks):
+    """`_parsed(text)` at each parse block size in `blocks`, checked equal
+    to the per-line oracle."""
+    try:
+        expected = _loads_stream_per_line(text)
+    except StreamFormatError as exc:
+        expected = str(exc)
+    for block in blocks:
+        with _tiny(block):
+            assert _parsed(text) == expected, block
+    return expected
+
+
+def test_crlf_split_by_the_block_window():
+    # a window ends between the CR and the LF of some line at most sizes
+    text = "n 30\r\n+ 1 2\r\n- 1 2\r\n+ 10 20\r\n"
+    got = _in_blocks(text, range(1, 40))
+    assert got == (30, None, ((1, 1, 2), (-1, 1, 2), (1, 10, 20)))
+
+
+def test_header_delta_comment_and_junk_in_later_blocks():
+    # the 71-byte first line fills a 64-byte block on its own
+    lead = "#" * 70 + "\n"
+    text = lead + "n 4\n+ 1 2\n# c\ndelta 3\n+ 3 4\n"
+    assert _in_blocks(text, [5, 64]) == (4, 3, ((1, 1, 2), (1, 3, 4)))
+    junk = lead + "n 4\n" + "+ 1 2\n- 1 2\n" * 10 + "+ 1 x\n"
+    assert _in_blocks(junk, [5, 64]) == "line 23: cannot parse '+ 1 x'"
+
+
+def test_update_before_header_in_a_later_block():
+    text = "# c\n" * 20 + "+ 1 2\n" + "n 3\n"
+    assert _in_blocks(text, _TINY_BLOCKS) == "line 21: cannot parse '+ 1 2'"
+    # the update and the header in the same later block
+    text = "#" * 70 + "\n+ 1 2\nn 3\n"
+    assert _in_blocks(text, _TINY_BLOCKS) == "line 2: cannot parse '+ 1 2'"
+
+
+def test_last_line_without_a_break():
+    for text in ("n 3\n+ 1 2\n- 1 2", "n 3\r\n+ 1 2\r\n- 1 2", "n 3\n+ 1 2\nn 4"):
+        _in_blocks(text, _TINY_BLOCKS)
+    assert _in_blocks("n 3\n+ 1 2\n- 1 2", _TINY_BLOCKS)[2] == ((1, 1, 2), (-1, 1, 2))
+
+
+def test_block_without_candidate_lines():
+    # the second 64-byte block holds only comments and blank lines
+    text = "n 3\n" + "+ 1 2\n- 1 2\n" * 4 + "#" * 60 + "\n\n\n  \n" + "+ 2 3\n"
+    assert _in_blocks(text, [64]) == (3, None, ((1, 1, 2), (-1, 1, 2)) * 4 + ((1, 2, 3),))
 
 
 @pytest.mark.parametrize(
