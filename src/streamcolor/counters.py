@@ -20,6 +20,14 @@ Edges with one assigned endpoint of color c admit only members with
 a * w mod p congruent to c - 1 mod k, again ~p/k candidates.  Edges with
 both endpoints assigned hit every member or none.
 
+The counts are linear in the updates, so a batch with deletions is
+counted as two unsigned batches, its insertions and its deletions, and
+the second count is subtracted from the first; an insert-only batch is
+counted once, on the arrays as given.  A base with no assigned vertex is
+taken as no base, so the iterative colorer's first round, whose base is
+all zero, sweeps the edge arrays as given and builds no endpoint colors
+or masks.
+
 The sweep reduces every product in preallocated blocks, as
 t - (t // p) * p, on int32 while p^2 < 2^31 and on int64 above.
 """
@@ -76,22 +84,6 @@ def _modinv_table(p: int, upto: int) -> np.ndarray:
     return inv
 
 
-def _bincount_signed(
-    counts: np.ndarray, idx: np.ndarray, sgn: np.ndarray | None
-) -> None:
-    """Add each sign to counts[idx]; sgn None means every sign is +1."""
-    p = counts.shape[0]
-    if sgn is None:
-        counts += np.bincount(idx, minlength=p)
-        return
-    pos = idx[sgn > 0]
-    if pos.size:
-        counts += np.bincount(pos, minlength=p)
-    neg = idx[sgn < 0]
-    if neg.size:
-        counts -= np.bincount(neg, minlength=p)
-
-
 def _accumulate_free_pairs(
     counts: np.ndarray,
     p: int,
@@ -99,13 +91,12 @@ def _accumulate_free_pairs(
     inv: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
-    signs: np.ndarray,
 ) -> None:
     """Edges with both endpoints uncolored."""
     if us.size == 0:
         return
     if k == 1:
-        counts += int(signs.sum())
+        counts += us.size
         return
     diff = us - vs
     winv = np.where(diff > 0, inv[np.abs(diff)], (p - inv[np.abs(diff)]) % p)
@@ -113,7 +104,6 @@ def _accumulate_free_pairs(
     winv = winv.astype(dtype)
     us = us.astype(dtype)
     dvals = np.arange(0, p, k, dtype=dtype)
-    inserts_only = bool((signs > 0).all())
     m = us.size
     width = min(m, _CHUNK_ELEMS)
     size = width * min(max(1, _CHUNK_ELEMS // width), dvals.size)
@@ -122,7 +112,7 @@ def _accumulate_free_pairs(
     half = np.zeros(p, dtype=np.int64)
     for c0 in range(0, m, width):
         w = min(width, m - c0)
-        wcol, ucol, scol = winv[c0 : c0 + w], us[c0 : c0 + w], signs[c0 : c0 + w]
+        wcol, ucol = winv[c0 : c0 + w], us[c0 : c0 + w]
         rows = max(1, _CHUNK_ELEMS // w)
         for r0 in range(0, dvals.size, rows):
             d = dvals[r0 : r0 + rows, None]
@@ -141,12 +131,9 @@ def _accumulate_free_pairs(
             x *= p
             q -= x
             np.greater_equal(q, d, out=hit)
-            sgn = None
-            if not inserts_only:
-                sgn = np.broadcast_to(scol, hit.shape)[hit]
             # about half of the mask is set, at random; on such a mask
             # np.compress gathers 4x faster than a[hit]
-            _bincount_signed(half, np.compress(hit.ravel(), a.ravel()), sgn)
+            half += np.bincount(np.compress(hit.ravel(), a.ravel()), minlength=p)
     counts += half
     if p % k != 0:
         # member a >= 1 also hits where member p - a did
@@ -160,7 +147,6 @@ def _accumulate_mixed_pairs(
     inv: np.ndarray,
     free: np.ndarray,
     colors: np.ndarray,
-    signs: np.ndarray,
 ) -> None:
     """Edges with exactly one uncolored endpoint (`free`), the other fixed
     to `colors`.  Member a hits iff a * free mod p == colors - 1 (mod k)."""
@@ -168,14 +154,13 @@ def _accumulate_mixed_pairs(
         return
     winv = inv[free]
     cm1 = colors - 1
-    inserts_only = bool((signs > 0).all())
     for j in range((p - 1) // k + 1):
         x = cm1 + j * k
         valid = x < p
         if not valid.any():
             break
         a = x[valid] * winv[valid] % p
-        _bincount_signed(counts, a, None if inserts_only else signs[valid])
+        counts += np.bincount(a, minlength=p)
 
 
 def collision_index_counts(
@@ -185,31 +170,39 @@ def collision_index_counts(
     vs: np.ndarray,
     signs: np.ndarray,
 ) -> np.ndarray:
-    """Signed monochromatic-edge count per member for a batch of edges."""
+    """Signed monochromatic-edge count per member for a batch of edges
+    with signs +1 and -1."""
+    us = np.asarray(us, dtype=np.int64)
+    vs = np.asarray(vs, dtype=np.int64)
+    insert = np.asarray(signs) > 0
+    if not insert.all():
+        # the insertions' counts less the deletions', each an unsigned batch
+        delete = ~insert
+        ones = np.ones(us.size, dtype=np.int64)
+        return collision_index_counts(
+            family, base_colors, us[insert], vs[insert], ones[insert]
+        ) - collision_index_counts(family, base_colors, us[delete], vs[delete], ones[delete])
     # colors are below p, so a palette above p acts as p
     p, k = family.p, min(family.palette, family.p)
     counts = np.zeros(p, dtype=np.int64)
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    signs = np.asarray(signs, dtype=np.int64)
-    if us.size == 0:
-        return counts
     inv = _modinv_table(p, family.n)
+    if base_colors is not None and not base_colors.any():
+        base_colors = None  # a base with no assigned vertex is no base
     if base_colors is None:
-        _accumulate_free_pairs(counts, p, k, inv, us, vs, signs)
+        _accumulate_free_pairs(counts, p, k, inv, us, vs)
         return counts
 
     cu = base_colors[us]
     cv = base_colors[vs]
     both = (cu > 0) & (cv > 0)
     # fully assigned edges hit every member or none
-    counts += int(signs[both & (cu == cv)].sum())
+    counts += np.count_nonzero(both & (cu == cv))
     neither = (cu == 0) & (cv == 0)
-    _accumulate_free_pairs(counts, p, k, inv, us[neither], vs[neither], signs[neither])
+    _accumulate_free_pairs(counts, p, k, inv, us[neither], vs[neither])
     mixed = ~both & ~neither
     free = np.where(cu[mixed] == 0, us[mixed], vs[mixed])
     fixed_color = np.maximum(cu[mixed], cv[mixed])
-    _accumulate_mixed_pairs(counts, p, k, inv, free, fixed_color, signs[mixed])
+    _accumulate_mixed_pairs(counts, p, k, inv, free, fixed_color)
     return counts
 
 
@@ -241,17 +234,19 @@ def member_collision_mask(
 class CounterBank:
     """Counter vector over one family, optionally over a base coloring.
 
-    The base is a PartialColoring or its `base_color_array` form; the bank
-    keeps it as given, so an array base must not change afterwards.
+    The base is kept in its `base_color_array` form, converted once when
+    the bank is made; an array base is kept as given, so it must not
+    change afterwards.
     """
 
     family: ColoringFamily
-    base: PartialColoring | np.ndarray | None
+    base: np.ndarray | None
     counts: np.ndarray
 
     @classmethod
     def empty(cls, family: ColoringFamily, base: PartialColoring | None = None):
-        return cls(family, base, np.zeros(family.p, dtype=np.int64))
+        base_arr = base_color_array(base, family.n)
+        return cls(family, base_arr, np.zeros(family.p, dtype=np.int64))
 
     @classmethod
     def from_arrays(
@@ -267,7 +262,7 @@ class CounterBank:
         if (counts < 0).any():
             member = int(np.argmax(counts < 0))
             raise NegativeCounterError(f"counter for member {member} went negative")
-        return cls(family, base, counts)
+        return cls(family, base_arr, counts)
 
     def entry_count(self) -> int:
         return int(self.counts.shape[0])
@@ -278,8 +273,7 @@ def counters_update(bank: CounterBank, update: EdgeUpdate) -> CounterBank:
 
     Raises NegativeCounterError if any counter would drop below zero.
     """
-    base_arr = base_color_array(bank.base, bank.family.n)
-    mask = member_collision_mask(bank.family, base_arr, update.u, update.v)
+    mask = member_collision_mask(bank.family, bank.base, update.u, update.v)
     counts = bank.counts + update.sign * mask.astype(np.int64)
     if (counts < 0).any():
         member = int(np.argmax(counts < 0))

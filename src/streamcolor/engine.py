@@ -71,8 +71,14 @@ from .streamio import StreamFile
 # with --alg two-pass or --unknown-delta (309 bytes per vertex) and
 # 560 MB with --alg iterative.
 VERTEX_STATE_BYTES = 320
-# the most per-vertex state a colorer may ask for (2 GiB): n <= 6710886
+# the most per-vertex state a colorer may ask for (2 GiB): n <= 6710886.
+# A dynamic colorer's decode candidates are held to the same cap.
 MAX_VERTEX_STATE_BYTES = 1 << 31
+# traced bytes per decode candidate, rounded up: listing the candidates
+# and sorting their encodings for `decode` peaked at 83 bytes each when
+# every vertex was uncolored in the final pass, and at 65 for one color
+# class (n = 2000 to 8000, up to 3.2e7 candidates)
+CANDIDATE_BYTES = 88
 
 
 class StreamSource:
@@ -202,9 +208,35 @@ def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
     return (us, vs, signs), true_delta
 
 
+def _check_candidate_count(count: int) -> None:
+    """Raise TooLargeError before `count` decode candidates are listed if
+    they would pass MAX_VERTEX_STATE_BYTES."""
+    if count * CANDIDATE_BYTES > MAX_VERTEX_STATE_BYTES:
+        raise TooLargeError(
+            f"{count} decode candidates need about {count * CANDIDATE_BYTES} "
+            f"bytes, above the cap of {MAX_VERTEX_STATE_BYTES} bytes"
+        )
+
+
+def _same_color_pair_count(ext_colors: np.ndarray) -> int:
+    """How many pairs `_same_color_pairs_of` lists: C(s, 2) summed over
+    the sizes s of the color classes."""
+    sizes = np.bincount(ext_colors[1:])
+    return int((sizes * (sizes - 1) // 2).sum())
+
+
+def _incident_pair_count(marked: np.ndarray) -> int:
+    """How many pairs `_incident_pairs_of` lists: C(n, 2) - C(n - |U|, 2)
+    for the marked set U."""
+    n = marked.shape[0] - 1
+    rest = n - int(np.count_nonzero(marked[1:]))
+    return n * (n - 1) // 2 - rest * (rest - 1) // 2
+
+
 def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
     """Sorted encodings of all vertex pairs sharing a color under
     ext_colors (index 0 ignored)."""
+    _check_candidate_count(_same_color_pair_count(ext_colors))
     n = ext_colors.shape[0] - 1
     # stable sort: each color class lists its vertices in ascending order
     verts = np.argsort(ext_colors[1:], kind="stable") + 1
@@ -220,6 +252,7 @@ def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
 def _incident_pairs_of(marked: np.ndarray) -> np.ndarray:
     """Sorted encodings of all vertex pairs with a marked endpoint
     (index 0 ignored)."""
+    _check_candidate_count(_incident_pair_count(marked))
     n = marked.shape[0] - 1
     verts = np.flatnonzero(marked)
     w = np.repeat(verts, n)

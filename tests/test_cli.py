@@ -492,6 +492,26 @@ def test_vertex_state_cap_is_inclusive(tmp_path, capsys, monkeypatch):
             assert run(capsys, "color", "--in", str(stream), *flags)[0] == expected
 
 
+def test_dynamic_decode_candidates_above_the_cap_exit_two(tmp_path, capsys):
+    # two color classes of about 10^4 vertices: about 10^8 same-color
+    # candidates, counted before any of them is listed
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 20000\ndelta 2\n+ 1 2\n+ 3 4\n+ 5 6\n")
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "color", "--in", str(stream), "--dynamic")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    count = 99990000
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: {count} decode candidates need about {count * engine.CANDIDATE_BYTES} "
+        f"bytes, above the cap of {engine.MAX_VERTEX_STATE_BYTES} bytes\n"
+    )
+    assert peak < 64 << 20
+
+
 def test_empty_vertex_set_exits_two(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     stream.write_text("n 0\ndelta 0\n")

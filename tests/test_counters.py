@@ -7,7 +7,7 @@ implementations vouch for each other only through the slow literal one.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from streamcolor.counters import (
@@ -42,14 +42,14 @@ def literal_mask(family, base_colors, u, v):
     return np.array(out)
 
 
-def random_case(data, max_n=24, max_palette=9):
-    n = data.draw(st.integers(min_value=2, max_value=max_n))
-    palette = data.draw(st.integers(min_value=1, max_value=max_palette))
+def random_case(draw, max_n=24, max_palette=9):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    palette = draw(st.integers(min_value=1, max_value=max_palette))
     fam = ColoringFamily(n, palette)
-    with_base = data.draw(st.booleans())
+    with_base = draw(st.booleans())
     base = None
     if with_base:
-        cols = data.draw(
+        cols = draw(
             st.lists(
                 st.one_of(st.none(), st.integers(min_value=1, max_value=palette)),
                 min_size=n,
@@ -63,7 +63,7 @@ def random_case(data, max_n=24, max_palette=9):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_mask_matches_literal_evaluation(data):
-    fam, base = random_case(data)
+    fam, base = random_case(data.draw)
     base_arr = base_color_array(base, fam.n)
     u = data.draw(st.integers(min_value=1, max_value=fam.n - 1))
     v = data.draw(st.integers(min_value=u + 1, max_value=fam.n))
@@ -72,22 +72,40 @@ def test_mask_matches_literal_evaluation(data):
     assert (got == literal_mask(fam, base_arr, u, v)).all()
 
 
-@given(st.data())
-@settings(max_examples=120, deadline=None)
-def test_batched_kernel_matches_mask_oracle(data):
-    fam, base = random_case(data)
-    base_arr = base_color_array(base, fam.n)
+@st.composite
+def kernel_batches(draw):
+    """(family, base color array, edges, signs) for the kernel oracle."""
+    fam, base = random_case(draw)
     pairs = [(u, v) for u in range(1, fam.n + 1) for v in range(u + 1, fam.n + 1)]
-    idx = data.draw(
-        st.lists(st.integers(min_value=0, max_value=len(pairs) - 1), max_size=30)
-    )
+    idx = draw(st.lists(st.integers(min_value=0, max_value=len(pairs) - 1), max_size=30))
     # inserts for every drawn pair, deletions for a prefix-safe subset
     edges = [pairs[i] for i in idx]
     sign_list = [1] * len(edges)
-    for i, e in enumerate(list(edges)):
-        if data.draw(st.booleans()):
+    for e in list(edges):
+        if draw(st.booleans()):
             edges.append(e)
             sign_list.append(-1)
+    return fam, base_color_array(base, fam.n), edges, sign_list
+
+
+# all-zero bases, which the kernel takes as no base: insert-only, then
+# with deletions
+_ZERO_BASE_EDGES = [(1, 2), (2, 5), (3, 9), (4, 7), (1, 8)]
+
+
+@given(kernel_batches())
+@example((ColoringFamily(9, 3), np.zeros(10, dtype=np.int64), _ZERO_BASE_EDGES, [1] * 5))
+@example(
+    (
+        ColoringFamily(9, 3),
+        np.zeros(10, dtype=np.int64),
+        _ZERO_BASE_EDGES + [(2, 5), (4, 7)],
+        [1] * 5 + [-1, -1],
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_batched_kernel_matches_mask_oracle(case):
+    fam, base_arr, edges, sign_list = case
     us = np.array([e[0] for e in edges], dtype=np.int64)
     vs = np.array([e[1] for e in edges], dtype=np.int64)
     signs = np.array(sign_list, dtype=np.int64)
@@ -245,7 +263,7 @@ def test_argmin_single_counter():
 @given(st.data())
 @settings(max_examples=60, deadline=None)
 def test_incremental_equals_batch(data):
-    fam, base = random_case(data, max_n=14, max_palette=5)
+    fam, base = random_case(data.draw, max_n=14, max_palette=5)
     pairs = [(u, v) for u in range(1, fam.n + 1) for v in range(u + 1, fam.n + 1)]
     chosen = data.draw(
         st.lists(st.sampled_from(pairs), max_size=12, unique=True)

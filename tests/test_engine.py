@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from streamcolor.engine import (
     StreamSource,
     _ceil_log_3_2,
+    _incident_pair_count,
     _incident_pairs_of,
+    _same_color_pair_count,
     _same_color_pairs_of,
     iterative_coloring,
     run_dynamic,
@@ -50,6 +52,9 @@ def test_candidate_encodings_match_pair_loops(data):
     incident = sorted(edge_encode(u, v, n) for u, v in pairs if marked[u] or marked[v])
     assert _same_color_pairs_of(np.array(colors, dtype=np.int64)).tolist() == same
     assert _incident_pairs_of(np.array(marked)).tolist() == incident
+    # the counts the candidate guard computes before listing any pair
+    assert _same_color_pair_count(np.array(colors, dtype=np.int64)) == len(same)
+    assert _incident_pair_count(np.array(marked)) == len(incident)
 
 
 class TestTwoPass:

@@ -1,4 +1,4 @@
-"""Memory regression tests for the stream front end.
+"""Memory regression tests for the stream front end and the counter bank.
 
 The parser and the legality rule work in fixed-size blocks or in place,
 so their traced peaks stay near the arrays they return.  Each test runs
@@ -7,6 +7,12 @@ one of them on a generated n = 2000, delta = 300 stream (150k updates,
 plus the file bytes for the parser, plus ALLOWANCE.  The whole-buffer
 parser peaked at 31.9 MB here and the old legality rule at 11.4 MB, well
 above these bounds.
+
+The iterative colorer's first counter bank, over an all-zero base, is
+bounded by six int64 arrays of the stream's length (7.2 MB).  Taking
+that base as no base, the bank peaks at 5.1 MB (4.9 MiB); building the
+endpoint colors, masks and copies of a real base peaked at 11.3 MB
+(10.8 MiB).
 """
 
 import tracemalloc
@@ -14,8 +20,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from streamcolor.counters import CounterBank
 from streamcolor.generator import generate_stream
 from streamcolor.graph import legal_final_edges
+from streamcolor.hashfam import extension_family
 from streamcolor.streamio import dumps_stream, read_stream
 
 ALLOWANCE = 4 << 20
@@ -58,3 +66,14 @@ def test_legal_final_edges_peak_is_its_output(dense_stream):
     )
     assert final_lo.size == 150000
     assert peak < final_lo.nbytes + final_hi.nbytes + ALLOWANCE
+
+
+def test_first_iterative_bank_peak_is_bounded(dense_stream):
+    sf = read_stream(dense_stream)
+    us, vs, signs = sf.updates.us, sf.updates.vs, sf.updates.signs
+    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+    fam = extension_family(sf.n, sf.delta)
+    base = np.zeros(sf.n + 1, dtype=np.int64)
+    bank, peak = _traced_peak(lambda: CounterBank.from_arrays(fam, base, lo, hi, signs))
+    assert bank.counts[0] == lo.size  # member 0 colors every edge alike
+    assert peak < 6 * lo.nbytes

@@ -255,6 +255,8 @@ _ORACLE_EXAMPLES = [
     "# c\n+ 1 2\nn 3\n",
     "n 3\n+ 1 2\n+ 1 2 3\n+ 0002 3",
     "#c\r\n\r\n n 9\r\n#\r\n + 1 2 \r\n\t# t\r\n+ 2 3\r\n #\r\n",
+    # a CR before a CRLF ends an empty line, so the bad line is line 5
+    "n 3\r\r\n+ 1 2\r\n- 1 2\r\n+ 1 x\r\n",
 ]
 
 
@@ -293,11 +295,8 @@ _TINY_BLOCKS = [1, 5, 64]
 
 @contextlib.contextmanager
 def _tiny(block):
-    """Parse in blocks of `block` bytes, or `block` lines where the
-    per-line rule reads every line (breaks other than LF and CRLF)."""
-    with mock.patch.object(streamio, "_BLOCK_BYTES", block), mock.patch.object(
-        streamio, "_SPLIT_LINES", block
-    ):
+    """Parse in blocks of `block` bytes."""
+    with mock.patch.object(streamio, "_BLOCK_BYTES", block):
         yield
 
 
