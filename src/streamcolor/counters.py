@@ -51,20 +51,6 @@ from .hashfam import ColoringFamily
 _CHUNK_ELEMS = 1 << 16
 
 
-def base_color_array(
-    base: PartialColoring | np.ndarray | None, n: int
-) -> np.ndarray | None:
-    """Base colors as int64 indexed by vertex, 0 meaning unassigned; an
-    array base is already in that form and comes back unchanged."""
-    if base is None or isinstance(base, np.ndarray):
-        return base
-    arr = np.zeros(base.n + 1, dtype=np.int64)
-    for v, c in enumerate(base.colors(), start=1):
-        if c is not None:
-            arr[v] = c
-    return arr
-
-
 def _modinv_table(p: int, upto: int) -> np.ndarray:
     """inv[i] = i^-1 mod p for i = 1..upto (upto < p, p prime), as the
     Fermat power i^(p - 2) mod p; inv[0] = 0.  The squarings need
@@ -98,11 +84,7 @@ def _accumulate_free_pairs(
     if k == 1:
         counts += us.size
         return
-    diff = us - vs
-    winv = np.where(diff > 0, inv[np.abs(diff)], (p - inv[np.abs(diff)]) % p)
     dtype = np.int32 if p * p < 1 << 31 else np.int64
-    winv = winv.astype(dtype)
-    us = us.astype(dtype)
     dvals = np.arange(0, p, k, dtype=dtype)
     m = us.size
     width = min(m, _CHUNK_ELEMS)
@@ -112,7 +94,12 @@ def _accumulate_free_pairs(
     half = np.zeros(p, dtype=np.int64)
     for c0 in range(0, m, width):
         w = min(width, m - c0)
-        wcol, ucol = winv[c0 : c0 + w], us[c0 : c0 + w]
+        # (u - v)^-1 mod p and u for this block of columns
+        ucol = us[c0 : c0 + w]
+        diff = ucol - vs[c0 : c0 + w]
+        wcol = inv[np.abs(diff)]
+        wcol = np.where(diff > 0, wcol, (p - wcol) % p).astype(dtype)
+        ucol = ucol.astype(dtype)
         rows = max(1, _CHUNK_ELEMS // w)
         for r0 in range(0, dvals.size, rows):
             d = dvals[r0 : r0 + rows, None]
@@ -120,7 +107,7 @@ def _accumulate_free_pairs(
             a, q, x, hit = (
                 buf[:cells].reshape(d.size, w) for buf in (a_buf, q_buf, x_buf, hit_buf)
             )
-            # a = d * winv mod p
+            # a = d * wcol mod p
             np.multiply(d, wcol, out=a)
             np.floor_divide(a, p, out=q)
             q *= p
@@ -234,9 +221,7 @@ def member_collision_mask(
 class CounterBank:
     """Counter vector over one family, optionally over a base coloring.
 
-    The base is kept in its `base_color_array` form, converted once when
-    the bank is made; an array base is kept as given, so it must not
-    change afterwards.
+    `base` is the base coloring's read-only vertex-indexed array, or None.
     """
 
     family: ColoringFamily
@@ -245,19 +230,19 @@ class CounterBank:
 
     @classmethod
     def empty(cls, family: ColoringFamily, base: PartialColoring | None = None):
-        base_arr = base_color_array(base, family.n)
+        base_arr = None if base is None else base.array
         return cls(family, base_arr, np.zeros(family.p, dtype=np.int64))
 
     @classmethod
     def from_arrays(
         cls,
         family: ColoringFamily,
-        base: PartialColoring | np.ndarray | None,
+        base: PartialColoring | None,
         us: np.ndarray,
         vs: np.ndarray,
         signs: np.ndarray,
     ) -> "CounterBank":
-        base_arr = base_color_array(base, family.n)
+        base_arr = None if base is None else base.array
         counts = collision_index_counts(family, base_arr, us, vs, signs)
         if (counts < 0).any():
             member = int(np.argmax(counts < 0))

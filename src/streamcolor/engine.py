@@ -32,7 +32,10 @@ are identical byte for byte.
 A pass is one replay of the stream; the StreamSource counts replays so
 reports cannot misstate pass usage.  Space accounting in reports covers
 the algorithm's own state: stored edges, counter entries, sketch field
-elements, plus the O(n) color and degree arrays.
+elements, plus the O(n) degree array and one color per vertex.  Every
+coloring, from a family member's colors through the iterative rounds,
+greedy extension and the product, is one vertex-indexed array held by
+a `PartialColoring`.
 """
 
 from __future__ import annotations
@@ -64,14 +67,14 @@ from .recovery import SparseRecoverySketch, edge_encode_array
 from .streamio import StreamFile
 
 
-# bytes of per-vertex state a colorer holds at its peak, rounded up: the
-# degree and color arrays, the greedy step's adjacency sets, the
-# coloring's Python lists and its output text.  A `color` child on a
-# three-edge stream with n = 2,000,000 peaked 618 MB above an n = 10 run
-# with --alg two-pass or --unknown-delta (309 bytes per vertex) and
-# 560 MB with --alg iterative.
-VERTEX_STATE_BYTES = 320
-# the most per-vertex state a colorer may ask for (2 GiB): n <= 6710886.
+# bytes of per-vertex state a `color` run holds at its peak, rounded up:
+# the degree and color arrays, the greedy step's CSR form and the
+# coloring's output text, whose per-line strings take about 84 bytes per
+# vertex.  A `color` child on a three-edge stream with n = 2,000,000
+# peaked 216.5 MB above an n = 10 run with --alg iterative (108 bytes per
+# vertex) and 211.6 MB with --alg two-pass or --unknown-delta.
+VERTEX_STATE_BYTES = 110
+# the most per-vertex state a colorer may ask for (2 GiB): n <= 19522578.
 # A dynamic colorer's decode candidates are held to the same cap.
 MAX_VERTEX_STATE_BYTES = 1 << 31
 # traced bytes per decode candidate, rounded up: listing the candidates
@@ -157,7 +160,7 @@ class RunReport:
     final_stored_edges: int | None = None
 
     def max_color_used(self) -> int:
-        return max((c for c in self.coloring.colors() if c is not None), default=0)
+        return int(self.coloring.array.max())
 
     def to_json_dict(self) -> dict:
         return {
@@ -336,9 +339,11 @@ def _two_pass(
         )
 
     greedy = greedy_extend(sub, PartialColoring(n, delta + 1))
-    # product color: member block of delta + 1 colors, greedy color inside it
-    block = delta + 1
-    cols = [(c - 1) * block + g for c, g in zip(colors.tolist()[1:], greedy.colors())]
+    # product color: member block of delta + 1 colors, greedy color inside
+    # it.  Colors reach the palette, so past int64 they are exact ints
+    member_cols = colors.astype(object) if palette >= 1 << 63 else colors
+    cols = (member_cols - 1) * (delta + 1) + greedy.array
+    cols[0] = 0
     report.coloring = PartialColoring(n, palette, cols)
     report.peak_stored_edges = sub.m
     report.passes = src.replays - start_passes
@@ -385,8 +390,7 @@ def iterative_coloring(
     start_passes = src.replays
     fam = extension_family(n, delta)
     palette = fam.palette
-    colors = np.zeros(n + 1, dtype=np.int64)  # index 0 unused, 0 = uncolored
-    partial = PartialColoring(n, palette)
+    coloring = PartialColoring(n, palette)
     # proven round bound is ceil(log_{3/2} delta) + 1; the runtime guard
     # allows one extra round before declaring non-termination
     guard_rounds = _ceil_log_3_2(max(delta, 1)) + 2
@@ -397,7 +401,7 @@ def iterative_coloring(
         delta=delta,
         palette_bound=palette,
         passes=0,
-        coloring=partial,
+        coloring=coloring,
         counter_entries=fam.p,
     )
 
@@ -411,12 +415,13 @@ def iterative_coloring(
         report.phase_uncolored.append(n0)
 
         # pass A: pick the family member whose extension is cheapest
-        bank = CounterBank.from_arrays(fam, colors, *next(passes))
+        bank = CounterBank.from_arrays(fam, coloring, *next(passes))
         i_star = argmin_counter(bank)
         report.chosen_members.append(i_star)
 
         # pass B: store the extension's monochromatic edges
         arrays = next(passes)
+        colors = coloring.array
         ext = np.where(colors > 0, colors, fam.member(i_star).colors_array())
         mono = ext[arrays[0]] == ext[arrays[1]]
         sub = _stored_subgraph(
@@ -431,18 +436,16 @@ def iterative_coloring(
         report.phase_stored.append(sub.m)
         report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
-        # endpoints of stored edges stay uncolored; the rest take ext.  A
-        # new array, not an update in place: the bank holds the old one
+        # endpoints of stored edges stay uncolored; the rest take ext
         free = colors == 0
         free[np.concatenate(sub.edge_arrays())] = False
-        colors = np.where(free, ext, colors)
-        n0 = int(np.count_nonzero(colors[1:] == 0))
-        partial = PartialColoring(n, palette, [c or None for c in colors.tolist()[1:]])
+        coloring = PartialColoring(n, palette, np.where(free, ext, colors))
+        n0 = n - coloring.colored_count()
         report.iterations += 1
-        report.phase_colorings.append(partial)
+        report.phase_colorings.append(coloring)
 
     # final pass: store everything incident on the few uncolored vertices
-    unc_mask = colors == 0
+    unc_mask = coloring.array == 0
     unc_mask[0] = False
     arrays = next(passes)
     relevant = unc_mask[arrays[0]] | unc_mask[arrays[1]]
@@ -457,9 +460,9 @@ def iterative_coloring(
     report.final_stored_edges = sub.m
     report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
-    partial = greedy_extend(sub, partial, order=np.flatnonzero(unc_mask).tolist())
-    report.coloring = partial
-    report.phase_colorings.append(partial)
+    coloring = greedy_extend(sub, coloring)
+    report.coloring = coloring
+    report.phase_colorings.append(coloring)
     report.passes = src.replays - start_passes
     return report
 

@@ -2,7 +2,11 @@
 
 Vertices are the integers 1..n.  Edges are unordered pairs stored as
 normalized tuples (u, v) with u < v.  A partial coloring maps each
-vertex to a color in [1, palette] or to None (unassigned).
+vertex to a color in [1, palette] or leaves it unassigned.  It holds one
+read-only array indexed by vertex, index 0 unused and 0 meaning
+unassigned: int64 when every color fits in int64, exact Python ints
+(object dtype) otherwise.  The colorers, the counter kernel, greedy
+extension and the validators all read that array as it is.
 
 An update sequence is held as three int64 arrays (sign, u, v);
 `UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges`
@@ -195,8 +199,8 @@ class Graph:
 
 def max_degree(g: Graph) -> int:
     """Largest vertex degree; 0 for an edgeless graph."""
-    adj = g.adjacency()
-    return max((len(adj[v]) for v in range(1, g.n + 1)), default=0)
+    lo, hi = g.edge_arrays()
+    return int(np.bincount(np.concatenate((lo, hi)), minlength=1).max())
 
 
 def complete_graph(n: int) -> Graph:
@@ -286,112 +290,128 @@ def materialize(n: int, updates: Iterable[EdgeUpdate]) -> Graph:
 class PartialColoring:
     """Assignment of colors in [1, palette] to a subset of 1..n.
 
-    Immutable by convention: builders return new objects.
+    `colors` is None (nothing assigned), a sequence of n colors with None
+    for unassigned, or an array indexed by vertex with index 0 unused and
+    0 for unassigned.  The constructor is the one place that picks the
+    array's dtype: int64 when every color fits in int64, Python ints
+    (object dtype) otherwise.  `array` is that array, read-only; an array
+    argument of that dtype is taken over without a copy and made
+    read-only.
     """
 
-    __slots__ = ("n", "palette", "_colors")
+    __slots__ = ("n", "palette", "array")
 
-    def __init__(self, n: int, palette: int, colors: Sequence[int | None] | None = None):
+    def __init__(
+        self, n: int, palette: int, colors: Sequence[int | None] | np.ndarray | None = None
+    ):
         if palette < 1:
             raise ValueError("palette must be at least 1")
         if colors is None:
-            cols: tuple[int | None, ...] = (None,) * n
-        else:
+            colors = np.zeros(n + 1, dtype=np.int64)
+        elif not isinstance(colors, np.ndarray):
             if len(colors) != n:
                 raise ValueError(f"expected {n} colors, got {len(colors)}")
-            for c in colors:
-                if c is not None and not 1 <= c <= palette:
-                    raise ValueError(f"color {c} outside [1, {palette}]")
-            cols = tuple(colors)
+            if 0 in colors:
+                raise ValueError(f"color 0 outside [1, {palette}]")
+            colors = [0, *(0 if c is None else c for c in colors)]
+        try:
+            arr = np.asarray(colors, dtype=np.int64)
+        except OverflowError:  # a color past int64 stays an exact Python int
+            arr = np.asarray(colors, dtype=object)
+        if arr.shape != (n + 1,) or arr[0] != 0:
+            raise ValueError(f"expected {n} colors indexed 1..{n}")
+        bad = (arr < 0) | (arr > palette)
+        if bad.any():
+            raise ValueError(f"color {arr[np.argmax(bad)]} outside [1, {palette}]")
+        arr.setflags(write=False)
         self.n = n
         self.palette = palette
-        self._colors = cols
+        self.array = arr
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PartialColoring)
             and self.n == other.n
             and self.palette == other.palette
-            and self._colors == other._colors
+            and np.array_equal(self.array, other.array)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.palette, self._colors))
+        return hash((self.n, self.palette, self.colors()))
 
     def __repr__(self) -> str:
-        done = sum(1 for c in self._colors if c is not None)
+        done = self.colored_count()
         return f"PartialColoring(n={self.n}, palette={self.palette}, colored={done})"
 
     def color_of(self, v: int) -> int | None:
         _check_vertex(v, self.n)
-        return self._colors[v - 1]
+        return self.array.item(v) or None
 
     __getitem__ = color_of
 
     def colors(self) -> tuple[int | None, ...]:
         """Colors for vertices 1..n in order (None = unassigned)."""
-        return self._colors
+        return tuple(c or None for c in self.array[1:].tolist())
 
     @property
     def is_total(self) -> bool:
-        return all(c is not None for c in self._colors)
+        return bool(self.array[1:].all())
 
     def uncolored(self) -> list[int]:
-        return [v for v in range(1, self.n + 1) if self._colors[v - 1] is None]
+        return (np.flatnonzero(self.array[1:] == 0) + 1).tolist()
 
     def colored_count(self) -> int:
-        return sum(1 for c in self._colors if c is not None)
+        return int(np.count_nonzero(self.array))
 
     def require_total(self) -> None:
-        for v in range(1, self.n + 1):
-            if self._colors[v - 1] is None:
-                raise UncoloredVertexError(f"vertex {v} has no color")
+        if not self.is_total:
+            v = int(np.argmin(self.array[1:] != 0)) + 1
+            raise UncoloredVertexError(f"vertex {v} has no color")
+
+
+def _monochromatic(g: Graph, coloring: PartialColoring) -> list[Edge]:
+    """Edges of g whose endpoints share a color, sorted; uncolored
+    endpoints share none."""
+    cols = coloring.array
+    lo, hi = g.edge_arrays()
+    cu = cols[lo]
+    mono = (cu == cols[hi]) & (cu != 0)
+    return list(zip(lo[mono].tolist(), hi[mono].tolist()))
 
 
 def validate_proper(g: Graph, coloring: PartialColoring) -> list[Edge]:
     """Monochromatic edges of a total coloring, sorted; empty means proper."""
     coloring.require_total()
-    try:
-        cols = np.array(coloring.colors(), dtype=np.int64)
-    except OverflowError:  # colors past int64 compare as Python ints
-        cols = np.array(coloring.colors(), dtype=object)
-    lo, hi = g.edge_arrays()
-    mono = cols[lo - 1] == cols[hi - 1]
-    return list(zip(lo[mono].tolist(), hi[mono].tolist()))
+    return _monochromatic(g, coloring)
 
 
 def validate_partial(g: Graph, coloring: PartialColoring) -> list[Edge]:
     """Monochromatic edges among colored endpoints, sorted; empty means
     the partial coloring is proper on its colored set."""
-    cols = coloring.colors()
-    bad = []
-    for u, v in g.edges:
-        cu, cv = cols[u - 1], cols[v - 1]
-        if cu is not None and cu == cv:
-            bad.append((u, v))
-    return sorted(bad)
+    return _monochromatic(g, coloring)
 
 
-def greedy_extend(
-    g: Graph,
-    coloring: PartialColoring,
-    order: Iterable[int] | None = None,
-) -> PartialColoring:
-    """First-fit extension: give each target the smallest color unused by
-    its already-colored neighbors.
+def greedy_extend(g: Graph, coloring: PartialColoring) -> PartialColoring:
+    """First-fit extension: give each uncolored vertex, in ascending
+    order, the smallest color unused by its already-colored neighbors.
 
-    Targets default to every uncolored vertex in ascending order; an
-    explicit order must list uncolored vertices only.  Raises
-    PaletteExhaustedError when no color in [1, palette] is free.
+    Raises PaletteExhaustedError when no color in [1, palette] is free.
     """
-    cols = list(coloring.colors())
-    targets = list(order) if order is not None else coloring.uncolored()
-    adj = g.adjacency()
-    for v in targets:
-        _check_vertex(v, g.n)
-        if cols[v - 1] is not None:
-            raise ValueError(f"target vertex {v} already colored")
-        used = {cols[w - 1] for w in adj[v] if cols[w - 1] is not None}
+    cols = coloring.array.copy()
+    lo, hi = g.edge_arrays()
+    ends = np.concatenate((lo, hi))
+    deg = np.bincount(ends, minlength=g.n + 1)
+    targets = cols == 0
+    targets[0] = False
+    # first-fit gives color 1 to a vertex with no neighbor in g
+    cols[targets & (deg == 0)] = 1
+    looped = np.flatnonzero(targets & (deg > 0))
+    # g in CSR form: the neighbors of v are nbr[stop[v] - deg[v] : stop[v]]
+    nbr = np.concatenate((hi, lo))[np.argsort(ends, kind="stable")].tolist()
+    stop = np.cumsum(deg)
+    col = cols.tolist()
+    for v, d, e in zip(looped.tolist(), deg[looped].tolist(), stop[looped].tolist()):
+        used = {col[w] for w in nbr[e - d : e]}
         c = 1
         while c in used:
             c += 1
@@ -399,15 +419,16 @@ def greedy_extend(
             raise PaletteExhaustedError(
                 f"vertex {v}: no free color in [1, {coloring.palette}]"
             )
-        cols[v - 1] = c
+        col[v] = c
+    cols[looped] = [col[v] for v in looped.tolist()]
     return PartialColoring(g.n, coloring.palette, cols)
 
 
 def color_classes(coloring: PartialColoring) -> dict[int, list[int]]:
-    """Map color -> sorted vertices with that color (unassigned skipped)."""
+    """Map color -> sorted vertices with that color (unassigned skipped),
+    keyed in the order of each color's first vertex."""
+    cols = coloring.array
     classes: dict[int, list[int]] = {}
-    for v in range(1, coloring.n + 1):
-        c = coloring.color_of(v)
-        if c is not None:
-            classes.setdefault(c, []).append(v)
+    for v in np.flatnonzero(cols).tolist():
+        classes.setdefault(cols.item(v), []).append(v)
     return classes

@@ -100,9 +100,7 @@ class HashColorer:
         return out
 
     def as_coloring(self) -> PartialColoring:
-        return PartialColoring(
-            self.n, self.palette, [self.color(v) for v in range(1, self.n + 1)]
-        )
+        return PartialColoring(self.n, self.palette, self.colors_array())
 
 @dataclass(frozen=True)
 class ColoringFamily:

@@ -349,8 +349,8 @@ def loads_coloring(text: str) -> PartialColoring:
 
 def dumps_coloring(coloring: PartialColoring) -> str:
     coloring.require_total()
-    cols = coloring.colors()
-    return "\n".join(f"{v} {cols[v - 1]}" for v in range(1, coloring.n + 1)) + "\n"
+    cols = coloring.array.tolist()
+    return "\n".join(f"{v} {cols[v]}" for v in range(1, coloring.n + 1)) + "\n"
 
 
 def read_coloring(path: str | Path) -> PartialColoring:

@@ -14,7 +14,6 @@ from streamcolor.counters import (
     CounterBank,
     _modinv_table,
     argmin_counter,
-    base_color_array,
     collision_index_counts,
     counters_update,
     member_collision_mask,
@@ -64,7 +63,7 @@ def random_case(draw, max_n=24, max_palette=9):
 @settings(max_examples=150, deadline=None)
 def test_mask_matches_literal_evaluation(data):
     fam, base = random_case(data.draw)
-    base_arr = base_color_array(base, fam.n)
+    base_arr = None if base is None else base.array
     u = data.draw(st.integers(min_value=1, max_value=fam.n - 1))
     v = data.draw(st.integers(min_value=u + 1, max_value=fam.n))
     got = member_collision_mask(fam, base_arr, u, v)
@@ -85,7 +84,7 @@ def kernel_batches(draw):
         if draw(st.booleans()):
             edges.append(e)
             sign_list.append(-1)
-    return fam, base_color_array(base, fam.n), edges, sign_list
+    return fam, None if base is None else base.array, edges, sign_list
 
 
 # all-zero bases, which the kernel takes as no base: insert-only, then
@@ -196,10 +195,9 @@ def test_modinv_table_matches_pow(p, upto):
 def test_both_colored_equal_hits_every_member():
     fam = extension_family(8, 1)
     base = PartialColoring(8, 6, [2, 2] + [None] * 6)
-    base_arr = base_color_array(base, 8)
     counts = collision_index_counts(
         fam,
-        base_arr,
+        base.array,
         np.array([1], dtype=np.int64),
         np.array([2], dtype=np.int64),
         np.array([1], dtype=np.int64),
@@ -272,9 +270,7 @@ def test_incremental_equals_batch(data):
     for u, v in chosen:
         bank = counters_update(bank, EdgeUpdate(1, u, v))
     arr = np.array(chosen, dtype=np.int64).reshape(-1, 2)
-    # the base as a PartialColoring and as its int64 color array
-    for b in (base, base_color_array(base, fam.n)):
-        batch = CounterBank.from_arrays(
-            fam, b, arr[:, 0], arr[:, 1], np.ones(len(chosen), dtype=np.int64)
-        )
-        assert (bank.counts == batch.counts).all()
+    batch = CounterBank.from_arrays(
+        fam, base, arr[:, 0], arr[:, 1], np.ones(len(chosen), dtype=np.int64)
+    )
+    assert (bank.counts == batch.counts).all()

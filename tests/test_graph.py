@@ -217,6 +217,23 @@ def test_partial_coloring_rejects_out_of_palette():
         PartialColoring(2, 0, [None, None])
 
 
+def test_partial_coloring_array_form():
+    c = PartialColoring(3, 4, [4, None, 1])
+    assert c.array.dtype == np.int64 and c.array.tolist() == [0, 4, 0, 1]
+    assert not c.array.flags.writeable
+    assert PartialColoring(3, 4, np.array([0, 4, 0, 1])) == c
+    # exact ints only where a color does not fit in int64
+    big = PartialColoring(2, 2**70, [2**70, 1])
+    assert big.array.dtype == object and big.colors() == (2**70, 1)
+    assert PartialColoring(2, 2**70, [3, 1]).array.dtype == np.int64
+    with pytest.raises(ValueError):
+        PartialColoring(3, 4, np.array([1, 4, 0, 1]))  # index 0 is unused
+    with pytest.raises(ValueError):
+        PartialColoring(3, 4, np.array([0, 4, 0]))
+    with pytest.raises(ValueError):
+        PartialColoring(2, 3, [0, 1])
+
+
 def test_validate_proper_triangle():
     g = Graph(3, [(1, 2), (2, 3), (1, 3)])
     bad = PartialColoring(3, 2, [1, 1, 2])
@@ -265,20 +282,6 @@ def test_greedy_exhausts_palette_on_k4():
     assert "4" in str(ei.value)
 
 
-def test_greedy_custom_order():
-    g = Graph(3, [(1, 2), (2, 3)])
-    c = greedy_extend(g, PartialColoring(3, 3), order=[2, 1, 3])
-    assert c.color_of(2) == 1
-    assert c.color_of(1) == 2
-    assert c.color_of(3) == 2
-
-
-def test_greedy_rejects_colored_target():
-    g = Graph(2, [(1, 2)])
-    with pytest.raises(ValueError):
-        greedy_extend(g, PartialColoring(2, 2, [1, None]), order=[1])
-
-
 @given(st.integers(min_value=1, max_value=9), st.data())
 @settings(max_examples=80)
 def test_greedy_is_proper_within_degree_plus_one(n, data):
@@ -289,6 +292,45 @@ def test_greedy_is_proper_within_degree_plus_one(n, data):
     assert c.is_total
     assert validate_proper(g, c) == []
     assert validate_partial(g, c) == []
+
+
+def first_fit_reference(g, coloring):
+    """First-fit over adjacency sets, one uncolored vertex at a time in
+    ascending order: the loop greedy_extend must agree with."""
+    cols = list(coloring.colors())
+    adj = g.adjacency()
+    for v in coloring.uncolored():
+        used = {cols[w - 1] for w in adj[v] if cols[w - 1] is not None}
+        c = min(set(range(1, len(used) + 2)) - used)
+        if c > coloring.palette:
+            raise PaletteExhaustedError(f"vertex {v}: no free color in [1, {coloring.palette}]")
+        cols[v - 1] = c
+    return PartialColoring(g.n, coloring.palette, cols)
+
+
+@given(st.integers(min_value=1, max_value=12), st.data())
+@settings(max_examples=150)
+def test_greedy_matches_first_fit_reference(n, data):
+    # partial colorings that need not be proper, and palettes small
+    # enough to run out
+    g = Graph(n, data.draw(edges_strategy(n)))
+    palette = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(
+        st.lists(
+            st.one_of(st.none(), st.integers(min_value=1, max_value=palette)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    start = PartialColoring(n, palette, cols)
+    try:
+        want = first_fit_reference(g, start)
+    except PaletteExhaustedError as exc:
+        with pytest.raises(PaletteExhaustedError) as got:
+            greedy_extend(g, start)
+        assert str(got.value) == str(exc)
+    else:
+        assert greedy_extend(g, start) == want
 
 
 def test_color_classes():

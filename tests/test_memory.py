@@ -9,10 +9,18 @@ parser peaked at 31.9 MB here and the old legality rule at 11.4 MB, well
 above these bounds.
 
 The iterative colorer's first counter bank, over an all-zero base, is
-bounded by six int64 arrays of the stream's length (7.2 MB).  Taking
-that base as no base, the bank peaks at 5.1 MB (4.9 MiB); building the
-endpoint colors, masks and copies of a real base peaked at 11.3 MB
-(10.8 MiB).
+bounded by ALLOWANCE: the kernel forms its per-edge inverses in column
+blocks of fixed width, so its temporaries do not grow with the stream.
+It peaks at 3.2 MB (3.1 MiB).  Forming the inverses for the whole
+stream first peaked at 5.1 MB (4.9 MiB), and building the endpoint
+colors, masks and copies of a real base at 11.3 MB (10.8 MiB).
+
+Each colorer's per-vertex state is bounded by 150 bytes per vertex on a
+three-edge stream with n = 200,000 and delta = 2.  With colorings held
+as tuples and greedy extension run over adjacency sets, two_pass_coloring,
+iterative_coloring and two_pass_unknown_delta peaked at 312, 290 and 312
+bytes per vertex; with one vertex-indexed color array through greedy,
+the product and the rounds they peak at 68, 70 and 68.
 """
 
 import tracemalloc
@@ -21,8 +29,14 @@ import numpy as np
 import pytest
 
 from streamcolor.counters import CounterBank
+from streamcolor.engine import (
+    StreamSource,
+    iterative_coloring,
+    two_pass_coloring,
+    two_pass_unknown_delta,
+)
 from streamcolor.generator import generate_stream
-from streamcolor.graph import legal_final_edges
+from streamcolor.graph import EdgeUpdate, PartialColoring, legal_final_edges
 from streamcolor.hashfam import extension_family
 from streamcolor.streamio import dumps_stream, read_stream
 
@@ -73,7 +87,25 @@ def test_first_iterative_bank_peak_is_bounded(dense_stream):
     us, vs, signs = sf.updates.us, sf.updates.vs, sf.updates.signs
     lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     fam = extension_family(sf.n, sf.delta)
-    base = np.zeros(sf.n + 1, dtype=np.int64)
+    base = PartialColoring(sf.n, fam.palette)
     bank, peak = _traced_peak(lambda: CounterBank.from_arrays(fam, base, lo, hi, signs))
     assert bank.counts[0] == lo.size  # member 0 colors every edge alike
-    assert peak < 6 * lo.nbytes
+    assert peak < ALLOWANCE
+
+
+@pytest.mark.parametrize(
+    "colorer",
+    [
+        lambda src: two_pass_coloring(src, 2),
+        lambda src: iterative_coloring(src, 2),
+        two_pass_unknown_delta,
+    ],
+    ids=["two-pass", "iterative", "unknown-delta"],
+)
+def test_colorer_peak_per_vertex_is_bounded(colorer):
+    n = 200_000
+    edges = [EdgeUpdate(1, 1, 2), EdgeUpdate(1, 2, 3), EdgeUpdate(1, 4, 5)]
+    src = StreamSource(n, edges)
+    report, peak = _traced_peak(lambda: colorer(src))
+    assert report.coloring.is_total
+    assert peak < 150 * n
