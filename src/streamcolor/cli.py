@@ -17,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -139,9 +140,10 @@ def _outputs(*paths: str | None):
 
 def _put(fh, text: str) -> None:
     """Replace the content of a file from `_outputs` with text, and close
-    it; a pipe or terminal is just written."""
+    it; anything but a regular file (a pipe, terminal or device such as
+    /dev/null) is just written."""
     with fh:
-        if fh.seekable():
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate(0)
         fh.write(text)
 
@@ -423,17 +425,17 @@ def cmd_lb_compress(args) -> int:
 
 def cmd_lb_game(args) -> int:
     from .lab.game import (
+        ForwardMemoryStrategy,
         GameSpec,
         ProductStrategy,
         StoreAllEdgesAlgorithm,
-        protocol_from_stream,
         run_game,
     )
 
     sf = read_stream(args.input)
     if args.k < 1:
         raise _CliError(EXIT_USAGE, "--k must be at least 1")
-    if any(upd.sign < 0 for upd in sf.updates):
+    if (sf.updates.signs < 0).any():
         raise _CliError(EXIT_USAGE, "lb-game expects an insertion-only stream")
     graph = materialize(sf.n, sf.updates)
     delta = sf.delta if sf.delta is not None else max_degree(graph)
@@ -447,7 +449,7 @@ def cmd_lb_game(args) -> int:
     if args.strategy == "product":
         strategy = ProductStrategy()
     else:
-        strategy = protocol_from_stream(StoreAllEdgesAlgorithm())
+        strategy = ForwardMemoryStrategy(StoreAllEdgesAlgorithm())
     try:
         transcript = run_game(strategy, spec, shares)
     except ImproperOutputError as err:

@@ -32,7 +32,10 @@ are identical byte for byte.
 A pass is one replay of the stream; the StreamSource counts replays so
 reports cannot misstate pass usage.  Space accounting in reports covers
 the algorithm's own state: stored edges, counter entries, sketch field
-elements, plus the O(n) degree array and one color per vertex.  Every
+elements, plus the O(n) degree array and one color per vertex.  On
+dynamic streams each storage pass also sums an O(n) net-degree array
+over its kept updates; its positive entries mark the survivors' ends,
+from which decode draws its candidates.  Every
 coloring, from a family member's colors through the iterative rounds,
 greedy extension and the product, is one vertex-indexed array held by
 a `PartialColoring`.
@@ -223,26 +226,28 @@ def _check_candidate_count(count: int) -> None:
 
 def _same_color_pair_count(ext_colors: np.ndarray) -> int:
     """How many pairs `_same_color_pairs_of` lists: C(s, 2) summed over
-    the sizes s of the color classes."""
+    the sizes s of the color classes other than 0."""
     sizes = np.bincount(ext_colors[1:])
+    sizes[0] = 0
     return int((sizes * (sizes - 1) // 2).sum())
 
 
-def _incident_pair_count(marked: np.ndarray) -> int:
-    """How many pairs `_incident_pairs_of` lists: C(n, 2) - C(n - |U|, 2)
-    for the marked set U."""
-    n = marked.shape[0] - 1
-    rest = n - int(np.count_nonzero(marked[1:]))
-    return n * (n - 1) // 2 - rest * (rest - 1) // 2
+def _incident_pair_count(marked: np.ndarray, ends: np.ndarray) -> int:
+    """How many pairs `_incident_pairs_of` lists: C(|E|, 2) - C(|E| - |U|, 2)
+    for the ends E and the marked ends U."""
+    both = int(np.count_nonzero(ends[1:]))
+    rest = both - int(np.count_nonzero((marked & ends)[1:]))
+    return both * (both - 1) // 2 - rest * (rest - 1) // 2
 
 
 def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
-    """Sorted encodings of all vertex pairs sharing a color under
-    ext_colors (index 0 ignored)."""
+    """Sorted encodings of all vertex pairs sharing a color other than 0
+    under ext_colors (index 0 ignored)."""
     _check_candidate_count(_same_color_pair_count(ext_colors))
     n = ext_colors.shape[0] - 1
+    verts = np.flatnonzero(ext_colors[1:]) + 1
     # stable sort: each color class lists its vertices in ascending order
-    verts = np.argsort(ext_colors[1:], kind="stable") + 1
+    verts = verts[np.argsort(ext_colors[verts], kind="stable")]
     cuts = np.flatnonzero(np.diff(ext_colors[verts])) + 1
     parts = [np.empty(0, dtype=np.int64)]
     for cls in np.split(verts, cuts):
@@ -252,14 +257,15 @@ def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
     return np.sort(np.concatenate(parts))
 
 
-def _incident_pairs_of(marked: np.ndarray) -> np.ndarray:
-    """Sorted encodings of all vertex pairs with a marked endpoint
-    (index 0 ignored)."""
-    _check_candidate_count(_incident_pair_count(marked))
+def _incident_pairs_of(marked: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """Sorted encodings of all pairs of `ends` vertices with a marked
+    endpoint (index 0 ignored)."""
+    _check_candidate_count(_incident_pair_count(marked, ends))
     n = marked.shape[0] - 1
-    verts = np.flatnonzero(marked)
-    w = np.repeat(verts, n)
-    x = np.tile(np.arange(1, n + 1), verts.size)
+    verts = np.flatnonzero(marked & ends)
+    others = np.flatnonzero(ends[1:]) + 1
+    w = np.repeat(verts, others.size)
+    x = np.tile(others, verts.size)
     # a pair of two marked vertices is listed once, from its smaller end
     keep = ~marked[x] | (w < x)
     return np.sort(edge_encode_array(w[keep], x[keep], n))
@@ -271,7 +277,7 @@ def _stored_subgraph(
     keep: np.ndarray,
     dynamic: bool,
     sketch_k: int,
-    candidates: Callable[[], np.ndarray],
+    candidates: Callable[[np.ndarray], np.ndarray],
     report: RunReport,
 ) -> Graph:
     """Storage phase shared by every colorer: the final graph's edges
@@ -279,18 +285,24 @@ def _stored_subgraph(
 
     Insertion-only streams keep the selected edges directly; dynamic
     streams feed them to a sparse-recovery sketch of budget `sketch_k`
-    and decode it over `candidates()`, a superset of the survivors.
+    and decode it over `candidates(ends)`, a superset of the survivors
+    drawn from pairs of `ends` vertices.  `ends` marks the vertices of
+    positive net degree over the kept updates: `keep` selects every
+    update of an edge or none, so each kept edge's net multiplicity is
+    its final one, and those vertices are exactly the survivors' ends.
     """
     lo, hi, signs = arrays
     if not dynamic:
         lo, hi = lo[keep], hi[keep]
         order = np.lexsort((hi, lo))
         return Graph._from_sorted_arrays(n, lo[order], hi[order])
+    lo, hi, signs = lo[keep], hi[keep], signs[keep]
     sketch = SparseRecoverySketch.empty(n, sketch_k)
-    sketch.update_batch(signs[keep], lo[keep], hi[keep])
+    sketch.update_batch(signs, lo, hi)
     report.sketch_budgets.append(sketch_k)
+    ends = _degree_array(n, lo, hi, signs) > 0
     # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
-    decoded = sketch.decode(candidates=candidates())
+    decoded = sketch.decode(candidates=candidates(ends))
     lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
     return Graph._from_sorted_arrays(n, lo, hi)
 
@@ -331,7 +343,8 @@ def _two_pass(
     colors = member.colors_array()
     mono = colors[arrays[0]] == colors[arrays[1]]
     sub = _stored_subgraph(
-        n, arrays, mono, dynamic, 4 * n, lambda: _same_color_pairs_of(colors), report
+        n, arrays, mono, dynamic, 4 * n,
+        lambda ends: _same_color_pairs_of(np.where(ends, colors, 0)), report,
     )
     if sub.m > 4 * n:
         raise MonoBudgetExceededError(
@@ -426,7 +439,7 @@ def iterative_coloring(
         mono = ext[arrays[0]] == ext[arrays[1]]
         sub = _stored_subgraph(
             n, arrays, mono, dynamic, max(1, n0),
-            lambda: _same_color_pairs_of(ext), report,
+            lambda ends: _same_color_pairs_of(np.where(ends, ext, 0)), report,
         )
         if 3 * sub.m > n0:
             raise MonoBudgetExceededError(
@@ -451,7 +464,8 @@ def iterative_coloring(
     relevant = unc_mask[arrays[0]] | unc_mask[arrays[1]]
     # the final phase stores at most n edges, so the sketch budget is n
     sub = _stored_subgraph(
-        n, arrays, relevant, dynamic, n, lambda: _incident_pairs_of(unc_mask), report
+        n, arrays, relevant, dynamic, n,
+        lambda ends: _incident_pairs_of(unc_mask, ends), report,
     )
     if sub.m > n:
         raise MonoBudgetExceededError(

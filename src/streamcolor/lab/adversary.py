@@ -6,6 +6,9 @@ the summary whose class misses the fewest base edges, prunes vertices
 with too many missing edges, and recurses on the missing graph.  After k
 levels the chosen representatives are replayed through the game and every
 same-colored surviving pair is checked against the final missing set.
+A level's grouping, argmin, missing set and ceiling are the compression
+lemma's own (`partition`, `fewest_missing`, `missing_edges`,
+`missing_bound` in `compression`), applied to the level's messages.
 
 Two views of each level's messages are kept.  The accounting view
 truncates or pads messages to the s-bit budget, which is the width the
@@ -25,18 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 from ..errors import ImproperOutputError, InfeasibleLevelError
 from ..graph import Edge, Graph, color_classes, complete_graph, normalize_edge
-from ..streamio import dumps_coloring
+from .compression import fewest_missing, missing_bound, missing_edges, partition
 from .distribution import (
     DEFAULT_ENUM_CAP,
     RandomGraphDistribution,
     SupportTable,
     support_table,
 )
-from .game import GameSpec, GameTranscript, Strategy, run_game, text_bits
+from .game import GameSpec, GameTranscript, Strategy, final_message, run_game
 from .lnscaled import LnScaled
 from .schedule import schedule
 
@@ -104,58 +107,24 @@ class AdversaryReport:
         )
 
 
-class _Partition:
-    """Per-label counts, edge-cover unions, and smallest member masks."""
-
-    def __init__(self):
-        self.count: dict[str, int] = {}
-        self.union: dict[str, int] = {}
-        self.smallest: dict[str, int] = {}
-
-    def add(self, label: str, mask: int) -> None:
-        if label in self.count:
-            self.count[label] += 1
-            self.union[label] |= mask
-            self.smallest[label] = min(self.smallest[label], mask)
-        else:
-            self.count[label] = 1
-            self.union[label] = mask
-            self.smallest[label] = mask
-
-    def argmin_missing(self, edge_count: int) -> tuple[str, int]:
-        best_label, best_missing = None, None
-        for label in sorted(self.count):
-            missing = edge_count - self.union[label].bit_count()
-            if best_missing is None or missing < best_missing:
-                best_label, best_missing = label, missing
-        if best_label is None:
-            raise InfeasibleLevelError("level support is empty")
-        return best_label, best_missing
-
-
-@dataclass
+@dataclass(frozen=True)
 class _LevelState:
-    """Everything the counterexample hunt needs to revisit a level."""
+    """What the counterexample hunt needs to revisit a level: its support,
+    the chosen label, and the view that labels a share in that grouping."""
 
     table: SupportTable
-    history: tuple[str, ...]
-    fitted_label: str
-    fitted_union: int
-    exact_label: str | None = None
-    exact_union: int | None = None
+    label: str
+    view: Callable[[tuple[Edge, ...]], str]
 
-    def miss_edges(self) -> frozenset[Edge]:
-        union = self.fitted_union
-        return frozenset(
-            e for i, e in enumerate(self.table.edges) if not union >> i & 1
-        )
 
-    def exact_miss_edges(self) -> frozenset[Edge]:
-        assert self.exact_union is not None
-        union = self.exact_union
-        return frozenset(
-            e for i, e in enumerate(self.table.edges) if not union >> i & 1
-        )
+def _player_message(
+    strategy: Strategy, spec: GameSpec, index: int, history: tuple[str, ...]
+) -> Callable[[tuple[Edge, ...]], str]:
+    """What player ``index`` writes for a share after ``history``; the last
+    player's message is its final coloring."""
+    if index < spec.k:
+        return lambda share: strategy.message(spec, index, share, history)
+    return lambda share: final_message(strategy.output(spec, share, history))
 
 
 def _default_parameters(
@@ -219,7 +188,7 @@ def run_adversary(
     vertices = tuple(range(1, n + 1))
     base = complete_graph(n)
     v_sizes = [n]
-    history_raw: list[str] = []
+    messages: list[str] = []
     chosen_shares: list[tuple[Edge, ...]] = []
     levels: list[AdversaryLevel] = []
     states: list[_LevelState] = []
@@ -230,45 +199,30 @@ def run_adversary(
         table = support_table(dist, cap=enum_cap)
         if len(table) == 0:
             raise InfeasibleLevelError(f"level {index} support is empty")
-        history = tuple(history_raw)
+        message = _player_message(strategy, spec, index, tuple(messages))
+        # levels below k stream their messages; the last level's are
+        # partitioned twice, as fitted and as raw labels
+        raw = (message(table.edges_of(mask)) for mask in table.masks.tolist())
+        if index == k:
+            raw = list(raw)
+        fitted = partition(table, (fit_bits(msg, s) for msg in raw))
+        chosen, miss_count = fewest_missing(table, fitted)
+        ceiling = missing_bound(s, p_levels[li])
 
-        fitted = _Partition()
-        exact = _Partition() if index == k else None
-        for mask in table.masks.tolist():
-            share = tuple(table.graph(mask).edges_sorted())
-            if index < k:
-                raw = strategy.message(spec, index, share, history)
-            else:
-                raw = text_bits(dumps_coloring(strategy.output(spec, share, history)))
-            fitted.add(fit_bits(raw, s), mask)
-            if exact is not None:
-                exact.add(raw, mask)
-
-        edge_count = len(table.edges)
-        chosen, miss_count = fitted.argmin_missing(edge_count)
-        state = _LevelState(
-            table=table,
-            history=history,
-            fitted_label=chosen,
-            fitted_union=fitted.union[chosen],
-        )
-        ceiling = LnScaled(Fraction(s + 1) / p_levels[li], 1)
-
-        rep_mask = fitted.smallest[chosen]
-        rep_share = tuple(table.graph(rep_mask).edges_sorted())
+        rep_share = table.edges_of(fitted[chosen].smallest_mask)
         chosen_shares.append(rep_share)
+        messages.append(message(rep_share))
         if index < k:
-            history_raw.append(strategy.message(spec, index, rep_share, history))
-        else:
-            assert exact is not None
-            rep_label = text_bits(
-                dumps_coloring(strategy.output(spec, rep_share, history))
+            states.append(
+                _LevelState(table, chosen, lambda share, m=message: fit_bits(m(share), s))
             )
-            state.exact_label = rep_label
-            state.exact_union = exact.union[rep_label]
-        states.append(state)
+        else:
+            states.append(_LevelState(table, messages[-1], message))
+            exact_miss = missing_edges(
+                table, partition(table, raw)[messages[-1]].union_mask
+            )
 
-        miss_edges = state.miss_edges()
+        miss_edges = missing_edges(table, fitted[chosen].union_mask)
         threshold = (
             LnScaled.of(d_levels[li + 1]) if index < k else final_threshold
         )
@@ -285,9 +239,9 @@ def run_adversary(
             AdversaryLevel(
                 index=index,
                 v_size=len(vertices),
-                base_edge_count=edge_count,
+                base_edge_count=len(table.edges),
                 support_size=len(table),
-                labels_used=len(fitted.count),
+                labels_used=len(fitted),
                 chosen_label=chosen,
                 miss_count=miss_count,
                 miss_bound=ceiling.to_float(),
@@ -304,7 +258,6 @@ def run_adversary(
         vertices = survivors
 
     shares = tuple(chosen_shares)
-    exact_miss = states[-1].exact_miss_edges()
     transcript: GameTranscript | None = None
     counterexample: Counterexample | None = None
     replay_proper = False
@@ -321,11 +274,9 @@ def run_adversary(
 
     if replay_proper:
         assert transcript is not None
-        for i in range(k - 1):
-            if transcript.messages[i] != history_raw[i]:
-                raise AssertionError(f"replayed message {i + 1} diverged")
-        if transcript.messages[k - 1] != states[-1].exact_label:
-            raise AssertionError("replayed final message diverged")
+        for i, (got, want) in enumerate(zip(transcript.messages, messages), 1):
+            if got != want:
+                raise AssertionError(f"replayed message {i} diverged")
 
         surviving_set = set(vertices)
         violating_pair = None
@@ -393,22 +344,11 @@ def _exhibit_counterexample(
     state = states[level - 1]
     table = state.table
     bit = table._edge_rank[pair]
-    use_exact = level == k
     witness = None
     for mask in table.masks.tolist():
-        if not mask >> bit & 1:
-            continue
-        share = tuple(table.graph(mask).edges_sorted())
-        if use_exact:
-            raw = text_bits(
-                dumps_coloring(strategy.output(spec, share, state.history))
-            )
-            if raw == state.exact_label:
-                witness = share
-                break
-        else:
-            raw = strategy.message(spec, level, share, state.history)
-            if fit_bits(raw, len(state.fitted_label)) == state.fitted_label:
+        if mask >> bit & 1:
+            share = table.edges_of(mask)
+            if state.view(share) == state.label:
                 witness = share
                 break
     if witness is None:

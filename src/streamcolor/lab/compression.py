@@ -10,11 +10,10 @@ ln2 * (bits + 1) / p base edges.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .distribution import (
     _GAMMA,
     _MASK64,
     _popcount_u32,
+    edge_mask,
     support_table,
 )
 from .lnscaled import LnScaled
@@ -88,18 +88,9 @@ def parity_scheme(bits: int = 1) -> CompressionScheme:
 def identity_scheme(base: Graph, bits: int) -> CompressionScheme:
     """Summary = low ``bits`` of the subset bitmask over base edge rank."""
     rank = {e: i for i, e in enumerate(base.edges_sorted())}
-
-    def mask_of(g: Graph) -> int:
-        mask = 0
-        for e in g.edges_sorted():
-            if e not in rank:
-                raise ValueError(f"edge {e} is not a base edge")
-            mask |= 1 << rank[e]
-        return mask
-
     return CompressionScheme(
         bits=bits,
-        label=lambda g: _bit_string(mask_of(g), bits),
+        label=lambda g: _bit_string(edge_mask(rank, g), bits),
         name="identity",
         mask_label=lambda mask: _bit_string(mask, bits),
     )
@@ -213,28 +204,52 @@ class MissingGraph:
     preimage_size: int
 
 
+def partition(table: SupportTable, labels: Iterable[str]) -> dict[str, LabelClass]:
+    """Group the support by summary value; ``labels`` runs aligned with
+    ``table.masks``."""
+    stats: dict[str, list] = {}
+    for mask, label in zip(table.masks.tolist(), labels):
+        entry = stats.get(label)
+        if entry is None:
+            # masks ascend, so a class's first mask is its smallest
+            entry = stats[label] = [0, 0, mask, [0] * len(table.weights)]
+        entry[0] += 1
+        entry[1] |= mask
+        entry[3][mask.bit_count()] += 1
+    # a mask's probability depends only on its popcount
+    return {
+        label: LabelClass(
+            label,
+            count,
+            sum(w * c for w, c in zip(table.weights, pops)) / table.acceptance,
+            union,
+            smallest,
+        )
+        for label, (count, union, smallest, pops) in sorted(stats.items())
+    }
+
+
 def label_partition(
     table: SupportTable, scheme: CompressionScheme
 ) -> dict[str, LabelClass]:
     """Group the support by summary value."""
-    stats: dict[str, list] = {}
-    for mask in table.masks.tolist():
-        label = scheme.apply_mask(table, mask)
-        entry = stats.get(label)
-        if entry is None:
-            stats[label] = [1, table.probability(mask), mask, mask]
-        else:
-            entry[0] += 1
-            entry[1] += table.probability(mask)
-            entry[2] |= mask
-            entry[3] = min(entry[3], mask)
-    return {
-        label: LabelClass(label, count, prob, union, smallest)
-        for label, (count, prob, union, smallest) in sorted(stats.items())
-    }
+    return partition(
+        table, (scheme.apply_mask(table, mask) for mask in table.masks.tolist())
+    )
 
 
-def _missing_edges(table: SupportTable, union_mask: int) -> frozenset[Edge]:
+def fewest_missing(table: SupportTable, part: dict[str, LabelClass]) -> tuple[str, int]:
+    """The class missing the fewest base edges, as (label, missing count);
+    ties go to the smallest label."""
+    m = len(table.edges)
+    missing, label = min(
+        (m - cls.union_mask.bit_count(), label) for label, cls in part.items()
+    )
+    return label, missing
+
+
+def missing_edges(table: SupportTable, union_mask: int) -> frozenset[Edge]:
+    """Base edges outside ``union_mask``."""
     return frozenset(
         e for i, e in enumerate(table.edges) if not union_mask >> i & 1
     )
@@ -256,7 +271,7 @@ def missing_graph(
     cls = part.get(label)
     if cls is None:
         return MissingGraph(label, frozenset(table.edges), 0)
-    return MissingGraph(label, _missing_edges(table, cls.union_mask), cls.count)
+    return MissingGraph(label, missing_edges(table, cls.union_mask), cls.count)
 
 
 def missing_bound(bits: int, p: Fraction) -> LnScaled:
@@ -279,12 +294,7 @@ def check_compression_lemma(
     """
     table = support_table(dist, cap=cap)
     part = label_partition(table, scheme)
-    best_label, best_missing = None, None
-    for label, cls in part.items():
-        missing = len(table.edges) - cls.union_mask.bit_count()
-        if best_missing is None or missing < best_missing:
-            best_label, best_missing = label, missing
-    assert best_label is not None and best_missing is not None
+    best_label, best_missing = fewest_missing(table, part)
     ceiling = missing_bound(scheme.bits, dist.p)
     return {
         "min_missing": best_missing,

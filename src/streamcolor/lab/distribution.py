@@ -106,6 +106,17 @@ class RandomGraphDistribution:
         return graph
 
 
+def edge_mask(rank: dict[Edge, int], g: Graph) -> int:
+    """Bitmask of g's edges, bit ``rank[e]`` for edge e."""
+    mask = 0
+    for e in g.edges_sorted():
+        i = rank.get(e)
+        if i is None:
+            raise ValueError(f"edge {e} is not a base edge")
+        mask |= 1 << i
+    return mask
+
+
 @dataclass(frozen=True, eq=False)
 class SupportTable:
     """Accepted subsets of the base edge set, as bitmasks over edge rank.
@@ -124,21 +135,17 @@ class SupportTable:
     def __len__(self) -> int:
         return int(self.masks.size)
 
+    def edges_of(self, mask: int) -> tuple[Edge, ...]:
+        """The edges of subset ``mask``, sorted."""
+        return tuple(e for i, e in enumerate(self.edges) if mask >> i & 1)
+
     def graph(self, mask: int) -> Graph:
-        return Graph(
-            self.base.n, tuple(e for i, e in enumerate(self.edges) if mask >> i & 1)
-        )
+        return Graph(self.base.n, self.edges_of(mask))
 
     def mask_of(self, g: Graph) -> int:
         if g.n != self.base.n:
             raise ValueError("graph is over a different vertex count")
-        mask = 0
-        for e in g.edges_sorted():
-            rank = self._edge_rank.get(e)
-            if rank is None:
-                raise ValueError(f"edge {e} is not a base edge")
-            mask |= 1 << rank
-        return mask
+        return edge_mask(self._edge_rank, g)
 
     def contains(self, mask: int) -> bool:
         # masks are built in ascending order, so membership is a bisect

@@ -87,6 +87,11 @@ def text_bits(text: str) -> str:
     return "".join(format(b, "08b") for b in text.encode("utf-8"))
 
 
+def final_message(coloring: PartialColoring) -> str:
+    """The last player's message: the coloring file's text as bits."""
+    return text_bits(dumps_coloring(coloring))
+
+
 def bits_text(bits: str) -> str:
     if len(bits) % 8:
         raise ValueError("bit string length must be a multiple of 8")
@@ -157,8 +162,7 @@ def run_game(
         history.append(msg)
     coloring = strategy.output(spec, cleaned[spec.k - 1], tuple(history))
     coloring.require_total()
-    final_message = text_bits(dumps_coloring(coloring))
-    messages = tuple(history) + (final_message,)
+    messages = tuple(history) + (final_message(coloring),)
     transcript = GameTranscript(
         spec=spec,
         strategy_name=strategy.name,
@@ -364,11 +368,6 @@ class ForwardMemoryStrategy(Strategy):
     def output(self, spec, share, history):
         state = self._advance(spec, share, history)
         return self.algorithm.finish(state, spec.n, spec.delta)
-
-
-def protocol_from_stream(algorithm: OnePassAlgorithm) -> ForwardMemoryStrategy:
-    """Strategy that replays a one-pass procedure over the k shares."""
-    return ForwardMemoryStrategy(algorithm)
 
 
 def coloring_from_message(bits: str, n: int | None = None) -> PartialColoring:

@@ -492,24 +492,64 @@ def test_vertex_state_cap_is_inclusive(tmp_path, capsys, monkeypatch):
             assert run(capsys, "color", "--in", str(stream), *flags)[0] == expected
 
 
-def test_dynamic_decode_candidates_above_the_cap_exit_two(tmp_path, capsys):
-    # two color classes of about 10^4 vertices: about 10^8 same-color
-    # candidates, counted before any of them is listed
+def test_dynamic_decode_candidates_above_the_cap_exit_two(tmp_path, capsys, monkeypatch):
+    # with delta 1 every vertex has color 1, and a perfect matching makes
+    # every vertex a survivor's end: C(2000, 2) same-color candidates,
+    # counted before any of them is listed, against a 64 MiB cap
+    monkeypatch.setattr(engine, "MAX_VERTEX_STATE_BYTES", 64 << 20)
     stream = tmp_path / "s.txt"
-    stream.write_text("n 20000\ndelta 2\n+ 1 2\n+ 3 4\n+ 5 6\n")
+    matching = "".join(f"+ {v} {v + 1}\n" for v in range(1, 2000, 2))
+    stream.write_text(f"n 2000\ndelta 1\n{matching}")
     tracemalloc.start()
     try:
         code, out, err = run(capsys, "color", "--in", str(stream), "--dynamic")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    count = 99990000
+    count = 1999000
     assert (code, out) == (2, "")
     assert err == (
         f"error: {count} decode candidates need about {count * engine.CANDIDATE_BYTES} "
         f"bytes, above the cap of {engine.MAX_VERTEX_STATE_BYTES} bytes\n"
     )
     assert peak < 64 << 20
+
+
+def test_dynamic_decode_lists_only_survivor_ends(tmp_path, capsys):
+    # candidates are pairs among the survivors' six ends, not among all
+    # 20000 vertices, so every colorer decodes three edges in little memory
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 20000\ndelta 2\n+ 1 2\n+ 3 4\n+ 5 6\n")
+    for flags in _COLOR_FLAGS[:3]:
+        plain, dynamic = tmp_path / "plain.txt", tmp_path / "dynamic.txt"
+        assert run(capsys, "color", "--in", str(stream), *flags, "--out", str(plain))[0] == 0
+        tracemalloc.start()
+        try:
+            code, out, err = run(
+                capsys, "color", "--in", str(stream), *flags, "--dynamic",
+                "--out", str(dynamic),
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        assert peak < 64 << 20
+        assert dynamic.read_bytes() == plain.read_bytes()
+
+
+def test_outputs_to_a_device_are_written(tmp_path, capsys):
+    # /dev/null is seekable but cannot be truncated
+    stream = tmp_path / "s.txt"
+    stream.write_text(TRIANGLE)
+    code, _, err = run(
+        capsys, "color", "--in", str(stream), "--out", "/dev/null",
+        "--report", "/dev/null", "--quiet",
+    )
+    assert (code, err) == (0, "")
+    code, out, err = run(
+        capsys, "generate", "--n", "5", "--delta", "2", "--out", "/dev/null"
+    )
+    assert (code, out, err) == (0, "", "")
 
 
 def test_empty_vertex_set_exits_two(tmp_path, capsys):

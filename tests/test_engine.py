@@ -47,14 +47,19 @@ def test_candidate_encodings_match_pair_loops(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
     colors = [0] + data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
     marked = [False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    # the vertices candidates are drawn from: the survivors' ends
+    ends = [False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    pairs = [
+        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if ends[u] and ends[v]
+    ]
     same = sorted(edge_encode(u, v, n) for u, v in pairs if colors[u] == colors[v])
     incident = sorted(edge_encode(u, v, n) for u, v in pairs if marked[u] or marked[v])
-    assert _same_color_pairs_of(np.array(colors, dtype=np.int64)).tolist() == same
-    assert _incident_pairs_of(np.array(marked)).tolist() == incident
+    own = np.where(ends, np.array(colors, dtype=np.int64), 0)
+    assert _same_color_pairs_of(own).tolist() == same
+    assert _incident_pairs_of(np.array(marked), np.array(ends)).tolist() == incident
     # the counts the candidate guard computes before listing any pair
-    assert _same_color_pair_count(np.array(colors, dtype=np.int64)) == len(same)
-    assert _incident_pair_count(np.array(marked)) == len(incident)
+    assert _same_color_pair_count(own) == len(same)
+    assert _incident_pair_count(np.array(marked), np.array(ends)) == len(incident)
 
 
 class TestTwoPass:

@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from streamcolor.graph import Graph, PartialColoring, validate_proper
+from streamcolor.graph import Graph, PartialColoring, complete_graph, validate_proper
 from streamcolor.lab.adversary import Counterexample, fit_bits, run_adversary
-from streamcolor.lab.compression import check_compression_lemma
+from streamcolor.lab.compression import CompressionScheme, check_compression_lemma
 from streamcolor.lab.distribution import RandomGraphDistribution
 from streamcolor.lab.game import (
     ConstantColorStrategy,
     DistinctColorsStrategy,
+    GameSpec,
     ParityMessageStrategy,
     Strategy,
+    final_message,
 )
 from streamcolor.lab.lnscaled import LnScaled
 
@@ -102,6 +104,32 @@ def test_single_level_matches_compression_view():
     check = check_compression_lemma(dist, constant_scheme(2))
     assert report.levels[0].miss_count == check["min_missing"]
     assert report.levels[0].miss_bound == check["bound"]
+
+
+def test_two_level_matches_compression_view():
+    # each level's accounting is the summary checker's view when the
+    # summary is that level's fitted message
+    strategy = PeekEdgeStrategy([(1, 2)])
+    p, d = [Fraction(3, 4), HALF], [Fraction(1), Fraction(2), Fraction(5)]
+    report = run_adversary(strategy, 4, 3, 2, 2, p=p, d=d, seed=0)
+    spec = GameSpec(4, 3, 2)
+    history = report.transcript.messages[:1]
+    levels = [
+        # level 1 samples K4; its chosen class misses only the watched edge
+        (complete_graph(4), lambda share: strategy.message(spec, 1, share, ())),
+        (Graph(4, [(1, 2)]), lambda share: final_message(strategy.output(spec, share, history))),
+    ]
+    for lvl, p_i, d_i, (base, message) in zip(report.levels, p, d, levels):
+        dist = RandomGraphDistribution(base, p_i, d_i, seed=0)
+        scheme = CompressionScheme(
+            bits=2, label=lambda g, message=message: fit_bits(message(tuple(g.edges_sorted())), 2)
+        )
+        check = check_compression_lemma(dist, scheme)
+        assert lvl.base_edge_count == base.m
+        assert lvl.chosen_label == check["argmin_label"]
+        assert lvl.miss_count == check["min_missing"]
+        assert lvl.labels_used == check["labels_used"]
+        assert lvl.miss_bound == check["bound"]
 
 
 def test_single_level_constant_strategy_yields_counterexample():

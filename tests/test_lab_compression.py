@@ -11,11 +11,14 @@ from streamcolor.lab.compression import (
     CompressionScheme,
     check_compression_lemma,
     constant_scheme,
+    fewest_missing,
     identity_scheme,
     label_partition,
     missing_bound,
+    missing_edges,
     missing_graph,
     parity_scheme,
+    partition,
     random_scheme,
     scheme_from_file,
     worst_two_labeling,
@@ -120,6 +123,19 @@ def test_identity_collisions_after_truncation():
     assert part["00"].union_mask == 0b100
     got = missing_graph(dist, identity_scheme(dist.base, bits=2), "00")
     assert got.edges == {(1, 2), (1, 3)}
+
+
+def test_fewest_missing_ties_go_to_the_smallest_label():
+    # support: the empty graph and the three single edges; each class
+    # below covers one edge and misses two
+    table = support_table(triangle_dist(p=Fraction(3, 4), d=Fraction(1)))
+    assert table.masks.tolist() == [0, 1, 2, 4]
+    part = partition(table, ["11", "11", "10", "01"])
+    assert fewest_missing(table, part) == ("01", 2)
+    assert missing_edges(table, part["01"].union_mask) == {(1, 2), (1, 3)}
+    # a smaller miss count beats a smaller label
+    part = partition(table, ["1", "1", "1", "0"])
+    assert fewest_missing(table, part) == ("1", 1)
 
 
 def test_missing_bound_exact_form():

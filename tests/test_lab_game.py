@@ -20,7 +20,6 @@ from streamcolor.lab.game import (
     coloring_from_message,
     decode_colors,
     encode_colors,
-    protocol_from_stream,
     run_game,
     text_bits,
 )
@@ -180,7 +179,7 @@ def test_forward_memory_matches_offline_greedy():
     edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (2, 5)]
     spec = GameSpec(5, 4, 3)
     shares = (tuple(edges[:2]), tuple(edges[2:4]), tuple(edges[4:]))
-    strategy = protocol_from_stream(StoreAllEdgesAlgorithm())
+    strategy = ForwardMemoryStrategy(StoreAllEdgesAlgorithm())
     transcript = run_game(strategy, spec, shares)
     offline = greedy_extend(Graph(5, edges), PartialColoring(5, 5))
     assert transcript.coloring == offline
