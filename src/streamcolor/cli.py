@@ -439,7 +439,6 @@ def cmd_lb_game(args) -> int:
         raise _CliError(EXIT_USAGE, "lb-game expects an insertion-only stream")
     graph = materialize(sf.n, sf.updates)
     delta = sf.delta if sf.delta is not None else max_degree(graph)
-    spec = GameSpec(sf.n, delta, args.k)
     edges = graph.edges_sorted()
     k = args.k
     shares = tuple(
@@ -451,7 +450,7 @@ def cmd_lb_game(args) -> int:
     else:
         strategy = ForwardMemoryStrategy(StoreAllEdgesAlgorithm())
     try:
-        transcript = run_game(strategy, spec, shares)
+        transcript = run_game(strategy, GameSpec(sf.n, delta, k), shares)
     except ImproperOutputError as err:
         payload = err.transcript.to_json_dict()
         payload["proper"] = False

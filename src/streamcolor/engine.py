@@ -22,10 +22,20 @@ most delta:
   is at least the true degree.  Both two-pass entry points run one
   body, `_two_pass`.
 
-Every "store edges" phase (two-pass pass 2, each iterative round's
-pass B, the iterative final pass) is one routine, `_stored_subgraph`.
-Dynamic streams (insertions and deletions) store through a
-deterministic sparse-recovery sketch there; decoded edge sets equal
+Both algorithms repeat one step, `_round`: bank the family over a base
+coloring in one pass, take the argmin member, extend the base by it, and
+store the extension's monochromatic edges in the next pass.  The
+two-pass colorer runs it once, over an empty base; the iterative colorer
+once per round.
+
+Every "store edges" phase (two-pass pass 2, each round's second pass,
+the iterative final pass) is one routine, `_stored_subgraph`, under one
+rule: keep the final edges whose ends have equal `classes` and at least
+one `marked` end.  A round passes the extension's colors as classes and
+marks every vertex; the final pass puts every vertex in one class and
+marks the uncolored ones.  Dynamic streams (insertions and deletions)
+store through a deterministic sparse-recovery sketch there, decoded over
+the same rule's pairs among the survivors' ends; decoded edge sets equal
 what an insertion-only run on the final graph would store, so outputs
 are identical byte for byte.
 
@@ -35,16 +45,15 @@ the algorithm's own state: stored edges, counter entries, sketch field
 elements, plus the O(n) degree array and one color per vertex.  On
 dynamic streams each storage pass also sums an O(n) net-degree array
 over its kept updates; its positive entries mark the survivors' ends,
-from which decode draws its candidates.  Every
-coloring, from a family member's colors through the iterative rounds,
-greedy extension and the product, is one vertex-indexed array held by
-a `PartialColoring`.
+from which decode draws its candidates.  Every coloring, from a family
+member's colors through the iterative rounds, greedy extension and the
+product, is one vertex-indexed array held by a `PartialColoring`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -65,7 +74,7 @@ from .graph import (
     greedy_extend,
     legal_final_edges,
 )
-from .hashfam import basic_family, extension_family
+from .hashfam import ColoringFamily, basic_family, extension_family
 from .recovery import SparseRecoverySketch, edge_encode_array
 from .streamio import StreamFile
 
@@ -81,9 +90,9 @@ VERTEX_STATE_BYTES = 110
 # A dynamic colorer's decode candidates are held to the same cap.
 MAX_VERTEX_STATE_BYTES = 1 << 31
 # traced bytes per decode candidate, rounded up: listing the candidates
-# and sorting their encodings for `decode` peaked at 83 bytes each when
-# every vertex was uncolored in the final pass, and at 65 for one color
-# class (n = 2000 to 8000, up to 3.2e7 candidates)
+# and sorting their encodings for `decode` peaked at 83 bytes each, both
+# for one color class and with every vertex uncolored in the final pass
+# (4,498,500 candidates)
 CANDIDATE_BYTES = 88
 
 
@@ -224,74 +233,57 @@ def _check_candidate_count(count: int) -> None:
         )
 
 
-def _same_color_pair_count(ext_colors: np.ndarray) -> int:
-    """How many pairs `_same_color_pairs_of` lists: C(s, 2) summed over
-    the sizes s of the color classes other than 0."""
-    sizes = np.bincount(ext_colors[1:])
-    sizes[0] = 0
-    return int((sizes * (sizes - 1) // 2).sum())
+def _pair_count(classes: np.ndarray, marked: np.ndarray) -> int:
+    """How many pairs `_pairs_of` lists: C(s, 2) - C(s - t, 2) summed over
+    the classes other than 0, for a class of s vertices, t of them marked."""
+    sizes = np.bincount(classes[1:])
+    rest = np.bincount(classes[1:][~marked[1:]], minlength=sizes.size)
+    sizes[0] = rest[0] = 0
+    return int((sizes * (sizes - 1) // 2 - rest * (rest - 1) // 2).sum())
 
 
-def _incident_pair_count(marked: np.ndarray, ends: np.ndarray) -> int:
-    """How many pairs `_incident_pairs_of` lists: C(|E|, 2) - C(|E| - |U|, 2)
-    for the ends E and the marked ends U."""
-    both = int(np.count_nonzero(ends[1:]))
-    rest = both - int(np.count_nonzero((marked & ends)[1:]))
-    return both * (both - 1) // 2 - rest * (rest - 1) // 2
-
-
-def _same_color_pairs_of(ext_colors: np.ndarray) -> np.ndarray:
-    """Sorted encodings of all vertex pairs sharing a color other than 0
-    under ext_colors (index 0 ignored)."""
-    _check_candidate_count(_same_color_pair_count(ext_colors))
-    n = ext_colors.shape[0] - 1
-    verts = np.flatnonzero(ext_colors[1:]) + 1
-    # stable sort: each color class lists its vertices in ascending order
-    verts = verts[np.argsort(ext_colors[verts], kind="stable")]
-    cuts = np.flatnonzero(np.diff(ext_colors[verts])) + 1
+def _pairs_of(classes: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Sorted encodings of all vertex pairs with equal classes other than
+    0 and at least one marked end (index 0 ignored)."""
+    _check_candidate_count(_pair_count(classes, marked))
+    n = classes.shape[0] - 1
+    verts = np.flatnonzero(classes[1:]) + 1
+    # stable sort: each class lists its vertices in ascending order
+    verts = verts[np.argsort(classes[verts], kind="stable")]
+    cuts = np.flatnonzero(np.diff(classes[verts])) + 1
     parts = [np.empty(0, dtype=np.int64)]
-    for cls in np.split(verts, cuts):
-        if cls.size > 1:
-            i, j = np.triu_indices(cls.size, 1)
-            parts.append(edge_encode_array(cls[i], cls[j], n))
+    for members in np.split(verts, cuts):
+        own = members[marked[members]]
+        w = np.repeat(own, members.size)
+        x = np.tile(members, own.size)
+        # a pair of two marked vertices is listed once, from its smaller end
+        keep = ~marked[x] | (w < x)
+        parts.append(edge_encode_array(w[keep], x[keep], n))
     return np.sort(np.concatenate(parts))
-
-
-def _incident_pairs_of(marked: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    """Sorted encodings of all pairs of `ends` vertices with a marked
-    endpoint (index 0 ignored)."""
-    _check_candidate_count(_incident_pair_count(marked, ends))
-    n = marked.shape[0] - 1
-    verts = np.flatnonzero(marked & ends)
-    others = np.flatnonzero(ends[1:]) + 1
-    w = np.repeat(verts, others.size)
-    x = np.tile(others, verts.size)
-    # a pair of two marked vertices is listed once, from its smaller end
-    keep = ~marked[x] | (w < x)
-    return np.sort(edge_encode_array(w[keep], x[keep], n))
 
 
 def _stored_subgraph(
     n: int,
     arrays: tuple[np.ndarray, np.ndarray, np.ndarray],
-    keep: np.ndarray,
+    classes: np.ndarray,
+    marked: np.ndarray,
     dynamic: bool,
     sketch_k: int,
-    candidates: Callable[[np.ndarray], np.ndarray],
     report: RunReport,
 ) -> Graph:
-    """Storage phase shared by every colorer: the final graph's edges
-    among the pass's updates selected by `keep`.
+    """Storage phase shared by every colorer: the final graph's edges whose
+    ends have equal `classes` and at least one `marked` end.  `classes`
+    and `marked` are vertex-indexed; every class is positive.
 
-    Insertion-only streams keep the selected edges directly; dynamic
-    streams feed them to a sparse-recovery sketch of budget `sketch_k`
-    and decode it over `candidates(ends)`, a superset of the survivors
-    drawn from pairs of `ends` vertices.  `ends` marks the vertices of
-    positive net degree over the kept updates: `keep` selects every
-    update of an edge or none, so each kept edge's net multiplicity is
-    its final one, and those vertices are exactly the survivors' ends.
+    Insertion-only streams keep those edges directly; dynamic streams feed
+    their updates to a sparse-recovery sketch of budget `sketch_k` and
+    decode it over the same rule's pairs among the survivors' ends, the
+    vertices of positive net degree over the kept updates.  The rule keeps
+    every update of an edge or none, so each kept edge's net multiplicity
+    is its final one, and the candidates hold every survivor.
     """
     lo, hi, signs = arrays
+    keep = (classes[lo] == classes[hi]) & (marked[lo] | marked[hi])
     if not dynamic:
         lo, hi = lo[keep], hi[keep]
         order = np.lexsort((hi, lo))
@@ -302,50 +294,74 @@ def _stored_subgraph(
     report.sketch_budgets.append(sketch_k)
     ends = _degree_array(n, lo, hi, signs) > 0
     # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
-    decoded = sketch.decode(candidates=candidates(ends))
+    decoded = sketch.decode(candidates=_pairs_of(np.where(ends, classes, 0), marked))
     lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
     return Graph._from_sorted_arrays(n, lo, hi)
+
+
+def _passes(
+    src: StreamSource, first: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The colorer's passes in order, as (lo, hi, signs) arrays: `first`,
+    the pass `_first_pass_checks` read, then one replay per pass."""
+    yield first
+    while True:
+        yield src.replay_arrays()
+
+
+def _round(
+    fam: ColoringFamily,
+    base: PartialColoring,
+    passes: Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]],
+    dynamic: bool,
+    sketch_k: int,
+    report: RunReport,
+) -> tuple[np.ndarray, Graph]:
+    """One extension round, shared by both colorers: on one pass, bank
+    `fam` over `base` and take the argmin member; on the next, store the
+    monochromatic edges of `base` extended by that member.
+
+    Returns the extension's colors and the stored subgraph.
+    """
+    bank = CounterBank.from_arrays(fam, base, *next(passes))
+    i_star = argmin_counter(bank)
+    report.chosen_members.append(i_star)
+    ext = np.where(base.array > 0, base.array, fam.member(i_star).colors_array())
+    everyone = np.ones(base.n + 1, dtype=bool)
+    sub = _stored_subgraph(base.n, next(passes), ext, everyone, dynamic, sketch_k, report)
+    return ext, sub
 
 
 def _two_pass(
     src: StreamSource, delta: int | None, dynamic: bool, algorithm: str
 ) -> RunReport:
-    """The two-pass body; `delta` None selects the smallest power-of-two
-    guess at least the true max degree measured in pass 1."""
+    """The two-pass body: one round over an empty base.  `delta` None
+    selects the smallest power-of-two guess at least the true max degree
+    measured in pass 1."""
     n = src.n
     start_passes = src.replays
-    (us, vs, signs), true_delta = _first_pass_checks(src, delta, dynamic)
+    arrays, true_delta = _first_pass_checks(src, delta, dynamic)
     selected, guesses = None, 1
     if delta is None:
-        grid = _power_of_two_grid(n)
-        delta = selected = next(g for g in grid if g >= max(true_delta, 1))
-        guesses = len(grid)
-    fam = basic_family(n, delta)
+        # the grid of guesses is 1, 2, 4, ..., up to the first at least n
+        delta = selected = 1 << (max(true_delta, 1) - 1).bit_length()
+        guesses = (n - 1).bit_length() + 1
     # only the committed guess's argmin is consumed, so only its bank is built
-    bank = CounterBank.from_arrays(fam, None, us, vs, signs)
-    i_star = argmin_counter(bank)
-    member = fam.member(i_star)
+    fam = basic_family(n, delta)
     palette = max(delta, 1) * (delta + 1)
-
+    empty = PartialColoring(n, 1)
     report = RunReport(
         algorithm=algorithm,
         n=n,
         delta=delta,
         palette_bound=palette,
         passes=0,
-        coloring=PartialColoring(n, 1),
-        chosen_members=[i_star],
+        coloring=empty,
         counter_entries=fam.p * guesses,
         selected_delta=selected,
     )
 
-    arrays = src.replay_arrays()
-    colors = member.colors_array()
-    mono = colors[arrays[0]] == colors[arrays[1]]
-    sub = _stored_subgraph(
-        n, arrays, mono, dynamic, 4 * n,
-        lambda ends: _same_color_pairs_of(np.where(ends, colors, 0)), report,
-    )
+    colors, sub = _round(fam, empty, _passes(src, arrays), dynamic, 4 * n, report)
     if sub.m > 4 * n:
         raise MonoBudgetExceededError(
             f"{sub.m} monochromatic edges exceed the 4n = {4 * n} budget"
@@ -383,16 +399,6 @@ def _ceil_log_3_2(x: int) -> int:
     return t
 
 
-def _passes(
-    src: StreamSource, delta: int, dynamic: bool
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The colorer's passes in order, as (lo, hi, signs) arrays; the first
-    is checked by `_first_pass_checks`."""
-    yield _first_pass_checks(src, delta, dynamic)[0]
-    while True:
-        yield src.replay_arrays()
-
-
 def iterative_coloring(
     src: StreamSource, delta: int, *, dynamic: bool = False
 ) -> RunReport:
@@ -401,6 +407,7 @@ def iterative_coloring(
         raise ValueError("delta must be nonnegative")
     n = src.n
     start_passes = src.replays
+    arrays = _first_pass_checks(src, delta, dynamic)[0]
     fam = extension_family(n, delta)
     palette = fam.palette
     coloring = PartialColoring(n, palette)
@@ -418,7 +425,7 @@ def iterative_coloring(
         counter_entries=fam.p,
     )
 
-    passes = _passes(src, delta, dynamic)
+    passes = _passes(src, arrays)
     n0 = n
     while n0 * delta > n:
         if report.iterations >= guard_rounds:
@@ -427,20 +434,7 @@ def iterative_coloring(
             )
         report.phase_uncolored.append(n0)
 
-        # pass A: pick the family member whose extension is cheapest
-        bank = CounterBank.from_arrays(fam, coloring, *next(passes))
-        i_star = argmin_counter(bank)
-        report.chosen_members.append(i_star)
-
-        # pass B: store the extension's monochromatic edges
-        arrays = next(passes)
-        colors = coloring.array
-        ext = np.where(colors > 0, colors, fam.member(i_star).colors_array())
-        mono = ext[arrays[0]] == ext[arrays[1]]
-        sub = _stored_subgraph(
-            n, arrays, mono, dynamic, max(1, n0),
-            lambda ends: _same_color_pairs_of(np.where(ends, ext, 0)), report,
-        )
+        ext, sub = _round(fam, coloring, passes, dynamic, max(1, n0), report)
         if 3 * sub.m > n0:
             raise MonoBudgetExceededError(
                 f"round {report.iterations + 1}: {sub.m} monochromatic "
@@ -450,22 +444,20 @@ def iterative_coloring(
         report.peak_stored_edges = max(report.peak_stored_edges, sub.m)
 
         # endpoints of stored edges stay uncolored; the rest take ext
-        free = colors == 0
+        free = coloring.array == 0
         free[np.concatenate(sub.edge_arrays())] = False
-        coloring = PartialColoring(n, palette, np.where(free, ext, colors))
+        coloring = PartialColoring(n, palette, np.where(free, ext, coloring.array))
         n0 = n - coloring.colored_count()
         report.iterations += 1
         report.phase_colorings.append(coloring)
 
-    # final pass: store everything incident on the few uncolored vertices
-    unc_mask = coloring.array == 0
-    unc_mask[0] = False
-    arrays = next(passes)
-    relevant = unc_mask[arrays[0]] | unc_mask[arrays[1]]
-    # the final phase stores at most n edges, so the sketch budget is n
+    # final pass: every vertex in one class, the uncolored ones marked, so
+    # it stores every edge with an uncolored end: at most n edges, so the
+    # sketch budget is n
+    unc = coloring.array == 0
+    unc[0] = False
     sub = _stored_subgraph(
-        n, arrays, relevant, dynamic, n,
-        lambda ends: _incident_pairs_of(unc_mask, ends), report,
+        n, next(passes), np.ones(n + 1, dtype=bool), unc, dynamic, n, report
     )
     if sub.m > n:
         raise MonoBudgetExceededError(
@@ -479,13 +471,6 @@ def iterative_coloring(
     report.phase_colorings.append(coloring)
     report.passes = src.replays - start_passes
     return report
-
-
-def _power_of_two_grid(n: int) -> list[int]:
-    grid = [1]
-    while grid[-1] < n:
-        grid.append(grid[-1] * 2)
-    return grid
 
 
 def two_pass_unknown_delta(src: StreamSource, *, dynamic: bool = False) -> RunReport:

@@ -83,7 +83,9 @@ def generate_stream(
         raise ValueError("give edge_target or density, not both")
     cap = n * delta // 2
     if edge_target is None:
-        target = cap // 2 if density is None else int(density * cap)
+        # any density above 1 asks for the cap, and a huge one would
+        # overflow the product's conversion to int
+        target = cap // 2 if density is None else int(min(density, 1.0) * cap)
     else:
         target = edge_target
     # no more insertions than vertex pairs, so draws stop once all are in

@@ -326,11 +326,19 @@ class SparseRecoverySketch:
             )
 
         # mandatory verification: power sums of the decoded set must
-        # reproduce every stored syndrome
+        # reproduce every stored syndrome.  The first `deg` suffice: the
+        # deg roots, distinct as the candidates are, make
+        # x^deg + c1 x^(deg-1) + ... + c_deg split as the product of
+        # (x - r) over the roots r, so their power sums P_j obey
+        # P_j + c1 P_(j-1) + ... + c_deg P_(j-deg) = 0 for j > deg, the
+        # recurrence Berlekamp-Massey verified on all 2k syndromes S_j.
+        # Once P_j = S_j for j <= deg, induction gives P_j = S_j up to
+        # 2k, and a first mismatch, if any, is at some j <= deg.
+        check = min(deg, 2 * self.k)
         sums = _power_sums(
-            fq, fq.asarray(roots), np.ones(roots.size, dtype=np.int64), 2 * self.k
+            fq, fq.asarray(roots), np.ones(roots.size, dtype=np.int64), check
         )
-        mismatch = np.flatnonzero(sums != self.syndromes)
+        mismatch = np.flatnonzero(sums != self.syndromes[:check])
         if mismatch.size:
             raise RecoveryFailedError(
                 f"syndrome {int(mismatch[0]) + 1} mismatch after decode"
@@ -347,7 +355,4 @@ class SparseRecoverySketch:
             cand = edge_encode_array(cand[:, 0], cand[:, 1], self.n)
         elif cand.size and not (1 <= cand.min() and cand.max() <= universe):
             raise OutOfRangeError(f"candidate encodings outside [1, {universe}]")
-        cand = np.sort(cand)
-        first = np.ones(cand.size, dtype=bool)
-        first[1:] = cand[1:] != cand[:-1]
-        return cand[first]
+        return np.unique(cand)

@@ -62,6 +62,16 @@ def test_generate_rejects_bad_flags(capsys):
         assert (code, err) == (2, "error: --density must be finite\n")
 
 
+def test_generate_density_above_one_asks_for_the_cap(capsys):
+    outs = []
+    for density in ("1e308", "2", "1"):
+        code, out, err = run(capsys, "generate", "--n", "3", "--delta", "2",
+                             "--density", density)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1] == outs[2]
+
+
 def test_color_then_verify_roundtrip(tmp_path, capsys):
     stream = tmp_path / "s.txt"
     coloring = tmp_path / "c.txt"
@@ -380,6 +390,16 @@ def test_lb_game_rejects_deletions(tmp_path, capsys):
                        "--in", str(stream))
     assert code == 2
     assert "insertion-only" in err
+
+
+def test_lb_game_on_an_empty_vertex_set_exits_two(tmp_path, capsys):
+    stream = tmp_path / "empty.txt"
+    stream.write_text("n 0\n")
+    for strategy in ("product", "forward-memory"):
+        code, out, err = run(capsys, "lb-game", "--k", "2", "--strategy", strategy,
+                             "--in", str(stream))
+        assert (code, out) == (2, "")
+        assert err == "error: need n >= 1, delta >= 0, k >= 1\n"
 
 
 def test_quiet_suppresses_stdout(tmp_path, capsys):

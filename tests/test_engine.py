@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcolor.engine import (
+    RunReport,
     StreamSource,
     _ceil_log_3_2,
-    _incident_pair_count,
-    _incident_pairs_of,
-    _same_color_pair_count,
-    _same_color_pairs_of,
+    _pair_count,
+    _pairs_of,
+    _stored_subgraph,
     iterative_coloring,
     run_dynamic,
     two_pass_coloring,
@@ -21,7 +21,15 @@ from streamcolor.engine import (
 )
 from streamcolor.errors import DegreeViolationError, IllegalUpdateError
 from streamcolor.generator import generate_stream
-from streamcolor.graph import EdgeUpdate, Graph, materialize, max_degree, validate_partial, validate_proper
+from streamcolor.graph import (
+    EdgeUpdate,
+    Graph,
+    PartialColoring,
+    materialize,
+    max_degree,
+    validate_partial,
+    validate_proper,
+)
 from streamcolor.recovery import edge_encode
 from streamcolor.streamio import dumps_coloring
 
@@ -45,21 +53,45 @@ def test_ceil_log_examples():
 @settings(max_examples=60, deadline=None)
 def test_candidate_encodings_match_pair_loops(data):
     n = data.draw(st.integers(min_value=1, max_value=40))
-    colors = [0] + data.draw(st.lists(st.integers(1, 5), min_size=n, max_size=n))
+    # class 0 marks a vertex that is not a survivor's end
+    classes = [0] + data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n))
     marked = [False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    # the vertices candidates are drawn from: the survivors' ends
-    ends = [False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    pairs = [
-        (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1) if ends[u] and ends[v]
-    ]
-    same = sorted(edge_encode(u, v, n) for u, v in pairs if colors[u] == colors[v])
-    incident = sorted(edge_encode(u, v, n) for u, v in pairs if marked[u] or marked[v])
-    own = np.where(ends, np.array(colors, dtype=np.int64), 0)
-    assert _same_color_pairs_of(own).tolist() == same
-    assert _incident_pairs_of(np.array(marked), np.array(ends)).tolist() == incident
-    # the counts the candidate guard computes before listing any pair
-    assert _same_color_pair_count(own) == len(same)
-    assert _incident_pair_count(np.array(marked), np.array(ends)) == len(incident)
+    expected = sorted(
+        edge_encode(u, v, n)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if classes[u] == classes[v] != 0 and (marked[u] or marked[v])
+    )
+    classes, marked = np.array(classes, dtype=np.int64), np.array(marked)
+    assert _pairs_of(classes, marked).tolist() == expected
+    # the count the candidate guard computes before listing any pair
+    assert _pair_count(classes, marked) == len(expected)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_dynamic_storage_equals_storage_of_the_final_graph(data):
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    # toggling an edge inserts it when absent and deletes it when present,
+    # so the stream is legal
+    present, updates = set(), []
+    for u, v in data.draw(st.lists(st.sampled_from(pairs), max_size=40)):
+        sign = -1 if (u, v) in present else 1
+        present ^= {(u, v)}
+        updates.append(EdgeUpdate(sign, u, v))
+    classes = np.array([0] + data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+    marked = np.array([False] + data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+    def stored(src, dynamic):
+        report = RunReport("test", n, 0, 1, 0, PartialColoring(n, 1))
+        sub = _stored_subgraph(
+            n, src.replay_arrays(), classes, marked, dynamic, max(1, len(present)), report
+        )
+        return [a.tolist() for a in sub.edge_arrays()]
+
+    final = StreamSource(n, [EdgeUpdate(1, u, v) for u, v in sorted(present)])
+    assert stored(StreamSource(n, updates), True) == stored(final, False)
 
 
 class TestTwoPass:

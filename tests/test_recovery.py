@@ -237,6 +237,18 @@ def test_overfull_never_lies(data):
     assert got == sorted(keep)
 
 
+@pytest.mark.parametrize("multiplicity", [2, 3, -1, -2])
+def test_survivor_of_other_net_multiplicity_fails(multiplicity):
+    # decode re-checks only the first `deg` syndromes; a survivor whose
+    # net multiplicity is not 1 must still fail that check
+    sketch = SparseRecoverySketch.empty(10, 3)
+    sketch.update(1, 4, 7)
+    for _ in range(abs(multiplicity)):
+        sketch.update(1 if multiplicity > 0 else -1, 1, 2)
+    with pytest.raises(RecoveryFailedError, match="syndrome 1 mismatch after decode"):
+        sketch.decode()
+
+
 def test_empty_sketch_decodes_empty():
     sketch = SparseRecoverySketch.empty(6, 3)
     assert sketch.decode() == []
