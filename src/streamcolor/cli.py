@@ -2,11 +2,13 @@
 
 Subcommands: ``generate``, ``color``, ``verify`` for the streaming side;
 ``lb-params``, ``lb-compress``, ``lb-game`` for the lower-bound lab.
-Every subcommand is deterministic given its flags and ``--seed``; no
-command reads system entropy or the clock.
+Every subcommand is deterministic given its flags (``generate`` and
+``lb-compress`` also take ``--seed``); no command reads system entropy
+or the clock.
 
-Exit codes: 0 success, 2 usage or parse failure, illegal stream, or a
-file that cannot be read or written, 3 declared-degree violation,
+Exit codes: 0 success, 2 a file that cannot be read or written; a
+package error exits with the code its type carries (see `errors`): 2
+usage or parse failure or illegal stream, 3 declared-degree violation,
 4 internal budget violation, 5 improper coloring.
 """
 
@@ -28,21 +30,7 @@ from .engine import (
     two_pass_coloring,
     two_pass_unknown_delta,
 )
-from .errors import (
-    DegreeViolationError,
-    IllegalUpdateError,
-    ImproperOutputError,
-    MonoBudgetExceededError,
-    NegativeCounterError,
-    NonTerminationError,
-    PaletteExhaustedError,
-    RecoveryFailedError,
-    RejectionOverflowError,
-    StreamColorError,
-    StreamFormatError,
-    TooLargeError,
-    UncoloredVertexError,
-)
+from .errors import ImproperOutputError, StreamColorError, UsageError
 from .generator import generate_stream
 from .graph import materialize, max_degree, validate_proper
 from .streamio import dumps_coloring, dumps_stream, read_coloring, read_stream
@@ -53,27 +41,16 @@ if TYPE_CHECKING:
     from .lab.lnscaled import LnScaled
 
 EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_DEGREE = 3
-EXIT_INTERNAL_BOUND = 4
-EXIT_IMPROPER = 5
-
-_INTERNAL_BOUND_ERRORS = (
-    MonoBudgetExceededError,
-    NegativeCounterError,
-    NonTerminationError,
-    RecoveryFailedError,
-    PaletteExhaustedError,
-    RejectionOverflowError,
-)
 
 
-class _CliError(Exception):
-    """Carries an exit code and a message to print on stderr."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+def _seed_flag(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if not 0 <= seed < 1 << 64:
+        raise argparse.ArgumentTypeError("must fit in 64 bits")
+    return seed
 
 
 def _fraction_flag(text: str) -> Fraction:
@@ -99,6 +76,15 @@ def _scaled_dict(value: LnScaled) -> dict:
 def _emit(args, payload: dict) -> None:
     if not args.quiet:
         print(json.dumps(payload, indent=2))
+
+
+def _verdict(args, payload: dict, violations) -> int:
+    """Emits payload and names the first ten monochromatic edges on
+    stderr; returns 5 if there are any, else 0."""
+    _emit(args, payload)
+    for u, v in violations[:10]:
+        print(f"monochromatic edge: {u} {v}", file=sys.stderr)
+    return ImproperOutputError.exit_code if violations else EXIT_OK
 
 
 @contextlib.contextmanager
@@ -151,10 +137,14 @@ def _put(fh, text: str) -> None:
 def _parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=int, default=0, help="64-bit seed (default 0, never the clock)"
-    )
-    common.add_argument(
         "--quiet", action="store_true", help="suppress stdout reports"
+    )
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument(
+        "--seed",
+        type=_seed_flag,
+        default=0,
+        help="64-bit seed (default 0, never the clock)",
     )
 
     parser = argparse.ArgumentParser(
@@ -164,7 +154,7 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser(
-        "generate", parents=[common], help="write a seeded update stream"
+        "generate", parents=[seeded, common], help="write a seeded update stream"
     )
     gen.add_argument("--n", type=int, required=True)
     gen.add_argument("--delta", type=int, required=True)
@@ -222,7 +212,9 @@ def _parser() -> argparse.ArgumentParser:
     )
 
     cmp_ = sub.add_parser(
-        "lb-compress", parents=[common], help="missing-edge bound for a summary scheme"
+        "lb-compress",
+        parents=[seeded, common],
+        help="missing-edge bound for a summary scheme",
     )
     cmp_.add_argument("--base", required=True, help="stream file for the base graph")
     cmp_.add_argument("--p", type=_fraction_flag, required=True)
@@ -246,11 +238,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_generate(args) -> int:
     if args.n < 1 or args.delta < 0:
-        raise _CliError(EXIT_USAGE, "need --n >= 1 and --delta >= 0")
+        raise UsageError("need --n >= 1 and --delta >= 0")
     if not 0.0 <= args.dynamic <= 1.0:
-        raise _CliError(EXIT_USAGE, "--dynamic must lie in [0, 1]")
+        raise UsageError("--dynamic must lie in [0, 1]")
     if args.density is not None and not math.isfinite(args.density):
-        raise _CliError(EXIT_USAGE, "--density must be finite")
+        raise UsageError("--density must be finite")
     sf = generate_stream(
         args.n,
         args.delta,
@@ -270,18 +262,12 @@ def cmd_generate(args) -> int:
 
 def cmd_color(args) -> int:
     sf = read_stream(args.input)
-    try:
-        src = StreamSource.from_stream_file(sf)
-    except ValueError as exc:  # n < 1: nothing to color
-        raise _CliError(EXIT_USAGE, str(exc))
+    src = StreamSource.from_stream_file(sf)
     if args.unknown_delta:
         report = two_pass_unknown_delta(src, dynamic=args.dynamic)
     else:
         if sf.delta is None:
-            raise _CliError(
-                EXIT_USAGE,
-                "stream file has no delta header; pass --unknown-delta",
-            )
+            raise UsageError("stream file has no delta header; pass --unknown-delta")
         run = two_pass_coloring if args.alg == "two-pass" else iterative_coloring
         report = run(src, sf.delta, dynamic=args.dynamic)
     text = dumps_coloring(report.coloring)
@@ -305,48 +291,34 @@ def cmd_verify(args) -> int:
     coloring = read_coloring(args.coloring)
     graph = materialize(sf.n, sf.updates)
     if coloring.n != sf.n:
-        raise _CliError(
-            EXIT_USAGE,
-            f"coloring covers {coloring.n} vertices, stream has {sf.n}",
-        )
+        raise UsageError(f"coloring covers {coloring.n} vertices, stream has {sf.n}")
     violations = validate_proper(graph, coloring)
     payload = {
         "proper": not violations,
         "violation_count": len(violations),
         "violations": [list(e) for e in violations[:10]],
     }
-    _emit(args, payload)
-    if violations:
-        for e in violations[:10]:
-            print(f"monochromatic edge: {e[0]} {e[1]}", file=sys.stderr)
-        return EXIT_IMPROPER
-    return EXIT_OK
+    return _verdict(args, payload, violations)
 
 
 def _parse_corollary(text: str, n: int):
     from .lab.schedule import corollary_check
 
     key, _, value = text.partition("=")
-    if key == "q":
-        try:
-            return corollary_check(n, q=int(value))
-        except ValueError as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
-    if key == "alpha":
-        try:
-            return corollary_check(n, alpha=Fraction(value))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _CliError(EXIT_USAGE, str(exc))
-    raise _CliError(EXIT_USAGE, f"--corollary must be q=<int> or alpha=<rational>")
+    parse = {"q": int, "alpha": Fraction}.get(key)
+    if parse is None:
+        raise UsageError("--corollary must be q=<int> or alpha=<rational>")
+    try:
+        parameter = parse(value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise UsageError(str(exc))
+    return corollary_check(n, **{key: parameter})
 
 
 def cmd_lb_params(args) -> int:
     from .lab.schedule import color_lower_bound
 
-    try:
-        report = color_lower_bound(args.n, args.delta, args.k, args.s)
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+    report = color_lower_bound(args.n, args.delta, args.k, args.s)
     sched = report.schedule
     corollary = None
     if args.corollary:
@@ -398,11 +370,8 @@ def cmd_lb_compress(args) -> int:
     sf = read_stream(args.base)
     base = materialize(sf.n, sf.updates)
     if args.s < 1:
-        raise _CliError(EXIT_USAGE, "--s must be at least 1")
-    try:
-        dist = RandomGraphDistribution(base, args.p, args.d, args.seed)
-    except StreamColorError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
+        raise UsageError("--s must be at least 1")
+    dist = RandomGraphDistribution(base, args.p, args.d, args.seed)
     if args.scheme == "parity":
         scheme = parity_scheme(bits=args.s)
     elif args.scheme == "identity":
@@ -410,9 +379,7 @@ def cmd_lb_compress(args) -> int:
     elif args.scheme.startswith("file:"):
         scheme = scheme_from_file(args.scheme[len("file:") :], bits=args.s)
     else:
-        raise _CliError(
-            EXIT_USAGE, f"--scheme must be parity, identity, or file:<path>"
-        )
+        raise UsageError("--scheme must be parity, identity, or file:<path>")
     result = check_compression_lemma(dist, scheme)
     payload = {
         "min_missing": result["min_missing"],
@@ -434,9 +401,9 @@ def cmd_lb_game(args) -> int:
 
     sf = read_stream(args.input)
     if args.k < 1:
-        raise _CliError(EXIT_USAGE, "--k must be at least 1")
+        raise UsageError("--k must be at least 1")
     if (sf.updates.signs < 0).any():
-        raise _CliError(EXIT_USAGE, "lb-game expects an insertion-only stream")
+        raise UsageError("lb-game expects an insertion-only stream")
     graph = materialize(sf.n, sf.updates)
     delta = sf.delta if sf.delta is not None else max_degree(graph)
     edges = graph.edges_sorted()
@@ -449,20 +416,14 @@ def cmd_lb_game(args) -> int:
         strategy = ProductStrategy()
     else:
         strategy = ForwardMemoryStrategy(StoreAllEdgesAlgorithm())
+    spec = GameSpec(sf.n, delta, k)
     try:
-        transcript = run_game(strategy, GameSpec(sf.n, delta, k), shares)
+        payload, violations = run_game(strategy, spec, shares).to_json_dict(), []
     except ImproperOutputError as err:
-        payload = err.transcript.to_json_dict()
+        payload, violations = err.transcript.to_json_dict(), err.violations
         payload["proper"] = False
-        payload["violations"] = [list(e) for e in err.violations[:10]]
-        _emit(args, payload)
-        for e in err.violations[:10]:
-            print(f"monochromatic edge: {e[0]} {e[1]}", file=sys.stderr)
-        return EXIT_IMPROPER
-    except ValueError as exc:
-        raise _CliError(EXIT_USAGE, str(exc))
-    _emit(args, transcript.to_json_dict())
-    return EXIT_OK
+        payload["violations"] = [list(e) for e in violations[:10]]
+    return _verdict(args, payload, violations)
 
 
 _DISPATCH = {
@@ -476,31 +437,16 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if not 0 <= args.seed < 1 << 64:
-        parser.error("--seed must fit in 64 bits")  # exits 2
+    args = _parser().parse_args(argv)
     try:
         return _DISPATCH[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except IllegalUpdateError as exc:
-        print(f"illegal stream: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DegreeViolationError as exc:
-        print(f"degree violation: {exc}", file=sys.stderr)
-        return EXIT_DEGREE
-    except _INTERNAL_BOUND_ERRORS as exc:
-        print(f"internal bound violated: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL_BOUND
-    except (StreamFormatError, UncoloredVertexError, TooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except StreamColorError as exc:
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
     except OSError as exc:  # a file that cannot be read or written
         reason = (exc.strerror or str(exc)).lower()
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)
-        return EXIT_USAGE
+        return UsageError.exit_code
 
 
 if __name__ == "__main__":

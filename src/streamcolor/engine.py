@@ -64,6 +64,7 @@ from .errors import (
     MonoBudgetExceededError,
     NonTerminationError,
     TooLargeError,
+    UsageError,
 )
 from .graph import (
     MAX_VERTEX,
@@ -107,7 +108,7 @@ class StreamSource:
 
     def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
         if n < 1:
-            raise ValueError("stream needs n >= 1")
+            raise UsageError("stream needs n >= 1")
         if n > MAX_VERTEX:
             # the engine keys edges in int64 and holds arrays indexed by vertex
             raise TooLargeError(f"n = {n} is above MAX_VERTEX = {MAX_VERTEX}")

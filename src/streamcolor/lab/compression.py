@@ -17,7 +17,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from ..errors import StreamFormatError, TooLargeError
+from ..errors import StreamFormatError, TooLargeError, UsageError
 from ..graph import Edge, Graph
 from ..prng import splitmix64_next
 from ..streamio import _utf8
@@ -174,7 +174,7 @@ def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
         try:
             return mapping[mask]
         except KeyError:
-            raise ValueError(f"scheme file has no entry for mask {mask:#x}") from None
+            raise UsageError(f"scheme file has no entry for mask {mask:#x}") from None
 
     def from_graph(g: Graph) -> str:
         raise ValueError("file schemes label bitmasks; apply via a support table")

@@ -60,6 +60,8 @@ class RandomGraphDistribution:
             raise OutOfRangeError(f"degree parameter must be >= 1, got {self.d}")
         if not (0 <= self.seed <= _MASK64):
             raise OutOfRangeError("seed must fit in 64 bits")
+        if self.base.n < 1:
+            raise OutOfRangeError("base graph needs n >= 1")
 
     @property
     def degree_cutoff(self) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..counters import CounterBank, argmin_counter, counters_update
-from ..errors import ImproperOutputError
+from ..errors import ImproperOutputError, UsageError
 from ..graph import (
     Edge,
     EdgeUpdate,
@@ -39,7 +39,7 @@ class GameSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.delta < 0 or self.k < 1:
-            raise ValueError("need n >= 1, delta >= 0, k >= 1")
+            raise UsageError("need n >= 1, delta >= 0, k >= 1")
 
 
 @dataclass(frozen=True)
@@ -125,21 +125,21 @@ def _normalized_shares(
     spec: GameSpec, shares: Sequence[Sequence[Edge]]
 ) -> tuple[tuple[tuple[Edge, ...], ...], Graph]:
     if len(shares) != spec.k:
-        raise ValueError(f"expected {spec.k} shares, got {len(shares)}")
+        raise UsageError(f"expected {spec.k} shares, got {len(shares)}")
     seen: dict[Edge, int] = {}
     cleaned = []
     for idx, share in enumerate(shares, start=1):
         edges = sorted({normalize_edge(u, v) for u, v in share})
         for e in edges:
             if e[1] > spec.n:
-                raise ValueError(f"edge {e} outside vertex range 1..{spec.n}")
+                raise UsageError(f"edge {e} outside vertex range 1..{spec.n}")
             if e in seen:
-                raise ValueError(f"edge {e} appears in shares {seen[e]} and {idx}")
+                raise UsageError(f"edge {e} appears in shares {seen[e]} and {idx}")
             seen[e] = idx
         cleaned.append(tuple(edges))
     union = Graph(spec.n, seen.keys())
     if max_degree(union) > spec.delta:
-        raise ValueError(
+        raise UsageError(
             f"union max degree {max_degree(union)} exceeds promised {spec.delta}"
         )
     return tuple(cleaned), union

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from ..errors import UsageError
 from .lnscaled import LnScaled
 
 #: the worst-case constant for the simplified theorem-style bound
@@ -25,7 +26,7 @@ ETA_0 = 100
 
 def _require_positive_int(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        raise UsageError(f"{name} must be a positive integer, got {value!r}")
     return value
 
 
@@ -210,10 +211,12 @@ def corollary_check(
     """
     _require_positive_int("n", n)
     if (q is None) == (alpha is None):
-        raise ValueError("provide exactly one of q or alpha")
+        raise UsageError("provide exactly one of q or alpha")
     log_n = math.log2(n)
     if q is not None:
         q = _require_positive_int("q", q)
+        if n < 2:  # log2(n) = 0 leaves log_delta(n) at 0/0
+            raise UsageError("q-mode needs n >= 2")
         mode, parameter = "q", Fraction(q)
         delta = max(1, round(200.0 * log_n ** (q + 1)))
         k = max(1, math.floor(math.sqrt(log_n / math.log2(delta))))
@@ -222,7 +225,7 @@ def corollary_check(
     else:
         alpha = Fraction(alpha)
         if not (0 < alpha < 1):
-            raise ValueError(f"alpha must lie in (0,1), got {alpha}")
+            raise UsageError(f"alpha must lie in (0,1), got {alpha}")
         mode, parameter = "alpha", alpha
         delta = max(1, round(n ** float(2 * alpha)))
         k = max(1, round(1 / float(2 * alpha)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import engine
+from streamcolor import cli, engine, errors
 from streamcolor.cli import main
 
 TRIANGLE = "n 3\ndelta 2\n+ 1 2\n+ 2 3\n+ 1 3\n"
@@ -296,6 +296,12 @@ def test_lb_params_bad_corollary(capsys):
     assert code == 2
 
 
+def test_lb_params_q_corollary_on_one_vertex_exits_two(capsys):
+    code, out, err = run(capsys, "lb-params", "--n", "1", "--delta", "1",
+                         "--k", "1", "--s", "1", "--corollary", "q=1")
+    assert (code, out, err) == (2, "", "error: q-mode needs n >= 2\n")
+
+
 def test_lb_params_rejects_bad_tuple(capsys):
     code, _, _ = run(capsys, "lb-params", "--n", "0", "--delta", "4",
                      "--k", "1", "--s", "10")
@@ -341,6 +347,25 @@ def test_lb_compress_non_utf8_scheme_exits_two(tmp_path, capsys):
                        "--p", "1/3", "--d", "5",
                        "--scheme", f"file:{scheme}", "--s", "1")
     assert (code, err) == (2, "error: line 2: not UTF-8 text\n")
+
+
+def test_lb_compress_on_an_empty_vertex_set_exits_two(tmp_path, capsys):
+    stream = tmp_path / "empty.txt"
+    stream.write_text("n 0\n")
+    code, out, err = run(capsys, "lb-compress", "--base", str(stream),
+                         "--p", "1/2", "--d", "10", "--scheme", "parity", "--s", "1")
+    assert (code, out, err) == (2, "", "error: base graph needs n >= 1\n")
+
+
+def test_lb_compress_scheme_file_without_a_used_mask_exits_two(tmp_path, capsys):
+    stream = tmp_path / "one.txt"
+    stream.write_text("n 2\ndelta 1\n+ 1 2\n")
+    scheme = tmp_path / "scheme.txt"
+    scheme.write_text("0 0\n")
+    code, out, err = run(capsys, "lb-compress", "--base", str(stream),
+                         "--p", "1/3", "--d", "5",
+                         "--scheme", f"file:{scheme}", "--s", "1")
+    assert (code, out, err) == (2, "", "error: scheme file has no entry for mask 0x1\n")
 
 
 def test_lb_compress_bad_rational(capsys):
@@ -412,9 +437,29 @@ def test_quiet_suppresses_stdout(tmp_path, capsys):
 
 
 def test_bad_seed_rejected(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["generate", "--n", "4", "--delta", "2", "--seed", "-1"])
-    assert exc.value.code == 2
+    for seed in ("-1", str(2**64), "x"):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--n", "4", "--delta", "2", "--seed", seed])
+        assert exc.value.code == 2
+        assert "argument --seed" in capsys.readouterr().err
+
+
+def test_seed_is_offered_only_where_it_is_read(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text(TRIANGLE)
+    assert run(capsys, "generate", "--n", "4", "--delta", "2", "--seed", str(2**64 - 1))[0] == 0
+    assert run(capsys, "lb-compress", "--base", str(stream), "--p", "1/2", "--d", "10",
+               "--scheme", "parity", "--s", "1", "--seed", "3")[0] == 0
+    for argv in (
+        ["color", "--in", str(stream)],
+        ["verify", "--in", str(stream), "--coloring", str(stream)],
+        ["lb-params", "--n", "4", "--delta", "2", "--k", "1", "--s", "1"],
+        ["lb-game", "--k", "1", "--strategy", "product", "--in", str(stream)],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_two(capsys):
@@ -664,6 +709,118 @@ def test_fuzzed_streams_exit_with_documented_codes(data, flags, coloring, cap_n)
             # verify checks no degree or budget, so it never exits 3 or 4
             code = main(["verify", "--in", str(stream), "--coloring", str(drawn)])
             assert code in (0, 2, 5)
+
+
+_LB_RATIONALS = ["1/2", "1/3", "2/3", "0", "1", "3/2", "-1/2", "5", "10", "100"]
+
+
+@st.composite
+def _lb_argv(draw, stream: str, scheme: str) -> list[str]:
+    """One lb-params, lb-compress or lb-game command line."""
+    command = draw(st.sampled_from(["lb-params", "lb-compress", "lb-game"]))
+    if command == "lb-params":
+        n_max = draw(st.sampled_from([2, 70]))  # often n = 1, where log2(n) = 0
+        argv = [command]
+        for flag, hi in (("--n", n_max), ("--delta", 8), ("--k", 3), ("--s", 200)):
+            argv += [flag, str(draw(st.integers(-1, hi)))]
+        if draw(st.booleans()):
+            argv += ["--corollary", draw(st.sampled_from(
+                ["q=1", "q=2", "q=0", "q=x", "alpha=1/4", "alpha=1/2", "alpha=1",
+                 "alpha=1/0", "beta=1", ""]))]
+    elif command == "lb-compress":
+        argv = [command, "--base", stream, "--p", draw(st.sampled_from(_LB_RATIONALS)),
+                "--d", draw(st.sampled_from(_LB_RATIONALS)),
+                "--scheme", draw(st.sampled_from(
+                    ["parity", "identity", f"file:{scheme}", "bogus"])),
+                "--s", draw(st.integers(-1, 3).map(str)),
+                "--seed", draw(st.integers(0, 3).map(str))]
+    else:
+        argv = [command, "--k", draw(st.integers(-1, 4).map(str)), "--in", stream,
+                "--strategy", draw(st.sampled_from(["product", "forward-memory"]))]
+    return argv + draw(st.sampled_from([[], ["--quiet"]]))
+
+
+@st.composite
+def _lb_stream(draw) -> str:
+    """A stream on 0 to 6 vertices with up to six insertions, sometimes a
+    degree header, and sometimes a deletion at the end."""
+    n = draw(st.integers(min_value=0, max_value=6))
+    lines = [f"n {n}"]
+    if draw(st.booleans()):
+        lines.append(f"delta {draw(st.integers(0, 6))}")
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)) if pairs else []
+    lines += [f"+ {u} {v}" for u, v in edges]
+    if edges and draw(st.integers(0, 5)) == 0:
+        lines.append("- {} {}".format(*edges[0]))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def _lb_scheme(draw) -> str:
+    """A scheme file: up to eight masks of a 6-vertex base, one width."""
+    width = draw(st.integers(min_value=1, max_value=3))
+    masks = draw(st.lists(st.integers(0, 63), unique=True, max_size=8))
+    bits = st.text("01", min_size=width, max_size=width)
+    return "".join(f"{mask:x} {draw(bits)}\n" for mask in masks)
+
+
+@given(_lb_stream(), _lb_scheme(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_fuzzed_lab_commands_exit_with_documented_codes(stream_text, scheme_text, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        stream, scheme = Path(tmp, "s.txt"), Path(tmp, "scheme.txt")
+        stream.write_text(stream_text)
+        scheme.write_text(scheme_text)
+        argv = data.draw(_lb_argv(str(stream), str(scheme)))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects a flag such as --d -1/2
+                code = exc.code
+        assert code in (0, 2, 3, 4, 5)
+        assert (code == 0) == (err.getvalue() == "")
+
+
+def _error_types(cls=errors.StreamColorError):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_error_types()), key=lambda c: c.__name__),
+                         ids=lambda c: c.__name__)
+def test_every_package_error_exits_with_its_types_code(capsys, monkeypatch, error):
+    assert error.exit_code in (2, 3, 4, 5)
+
+    def command(args):
+        raise error("the message")
+
+    monkeypatch.setitem(cli._DISPATCH, "generate", command)
+    code, out, err = run(capsys, "generate", "--n", "1", "--delta", "0")
+    assert (code, out, err) == (error.exit_code, "", f"{error.label}: the message\n")
+
+
+def test_exit_codes_of_package_errors():
+    expected = {
+        errors.StreamColorError: (2, "error"),
+        errors.IllegalUpdateError: (2, "illegal stream"),
+        errors.DegreeViolationError: (3, "degree violation"),
+        errors.InternalBoundError: (4, "internal bound violated"),
+        errors.ImproperOutputError: (5, "error"),
+    }
+    for error, code_and_label in expected.items():
+        assert (error.exit_code, error.label) == code_and_label
+    assert set(errors.InternalBoundError.__subclasses__()) == {
+        errors.MonoBudgetExceededError,
+        errors.NegativeCounterError,
+        errors.NonTerminationError,
+        errors.PaletteExhaustedError,
+        errors.RecoveryFailedError,
+        errors.RejectionOverflowError,
+    }
+    assert issubclass(errors.UsageError, ValueError)
 
 
 _ENGINE_SPANS = {

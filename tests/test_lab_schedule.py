@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from streamcolor.errors import UsageError
 from streamcolor.lab.lnscaled import LnScaled
 from streamcolor.lab.schedule import (
     ETA_0,
@@ -202,3 +203,11 @@ def test_corollary_argument_validation():
         corollary_check(100, alpha=Fraction(3, 2))
     with pytest.raises(ValueError):
         corollary_check(100, q=0)
+
+
+def test_corollary_q_mode_needs_two_vertices():
+    # log2(1) = 0 would leave log_delta(n) at 0/0
+    with pytest.raises(UsageError, match=r"^q-mode needs n >= 2$"):
+        corollary_check(1, q=1)
+    assert corollary_check(2, q=1).delta == 200
+    assert corollary_check(1, alpha=Fraction(1, 2)).delta == 1
