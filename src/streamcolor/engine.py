@@ -100,10 +100,12 @@ CANDIDATE_BYTES = 88
 class StreamSource:
     """Replayable edge-update sequence with declared n.
 
-    Every replay yields the identical sequence.  `replays` counts how
-    many passes have been taken over the source.  n must leave the
-    colorers' per-vertex state within MAX_VERTEX_STATE_BYTES, which is
-    checked here, before any of it is allocated.
+    The stream is held once, as the parsed int64 (sign, u, v) table, and
+    every replay yields those arrays unchanged; nothing orders an
+    update's ends, since every pass reads u and v alike.  `replays`
+    counts how many passes have been taken over the source.  n must
+    leave the colorers' per-vertex state within MAX_VERTEX_STATE_BYTES,
+    which is checked here, before any of it is allocated.
     """
 
     def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
@@ -120,7 +122,7 @@ class StreamSource:
         self.n = n
         self.updates = UpdateView.of(updates)
         self.replays = 0
-        self._arrays: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._checked = False
 
     @classmethod
     def from_stream_file(cls, sf: StreamFile) -> "StreamSource":
@@ -132,23 +134,18 @@ class StreamSource:
         return cls(g.n, UpdateView(np.ones_like(lo), lo, hi))
 
     def replay_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pass, returned as read-only (lo, hi, signs) int64 arrays
-        with lo < hi per update.
+        """One pass, returned as the read-only (us, vs, signs) int64 arrays
+        the stream was parsed into, each update's ends as written.
 
         The first call checks the stream against the legality rule
-        (`graph.legal_final_edges`) and caches the arrays; every call is
-        counted as a pass.
+        (`graph.legal_final_edges`); every call is counted as a pass.  No
+        copy is made: the passes read the one table the parser filled.
         """
         self.replays += 1
-        if self._arrays is None:
-            signs, us, vs = self.updates.signs, self.updates.us, self.updates.vs
-            lo = np.minimum(us, vs)
-            hi = np.maximum(us, vs)
-            legal_final_edges(self.n, signs, lo, hi)
-            for arr in (lo, hi):
-                arr.setflags(write=False)
-            self._arrays = (lo, hi, signs)
-        return self._arrays
+        if not self._checked:
+            legal_final_edges(self.n, self.updates.signs, self.updates.us, self.updates.vs)
+            self._checked = True
+        return self.updates.us, self.updates.vs, self.updates.signs
 
 
 @dataclass
@@ -283,17 +280,18 @@ def _stored_subgraph(
     every update of an edge or none, so each kept edge's net multiplicity
     is its final one, and the candidates hold every survivor.
     """
-    lo, hi, signs = arrays
-    keep = (classes[lo] == classes[hi]) & (marked[lo] | marked[hi])
+    us, vs, signs = arrays
+    keep = (classes[us] == classes[vs]) & (marked[us] | marked[vs])
+    us, vs = us[keep], vs[keep]
     if not dynamic:
-        lo, hi = lo[keep], hi[keep]
+        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
         order = np.lexsort((hi, lo))
         return Graph._from_sorted_arrays(n, lo[order], hi[order])
-    lo, hi, signs = lo[keep], hi[keep], signs[keep]
+    signs = signs[keep]
     sketch = SparseRecoverySketch.empty(n, sketch_k)
-    sketch.update_batch(signs, lo, hi)
+    sketch.update_batch(signs, us, vs)
     report.sketch_budgets.append(sketch_k)
-    ends = _degree_array(n, lo, hi, signs) > 0
+    ends = _degree_array(n, us, vs, signs) > 0
     # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
     decoded = sketch.decode(candidates=_pairs_of(np.where(ends, classes, 0), marked))
     lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
@@ -303,7 +301,7 @@ def _stored_subgraph(
 def _passes(
     src: StreamSource, first: tuple[np.ndarray, np.ndarray, np.ndarray]
 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The colorer's passes in order, as (lo, hi, signs) arrays: `first`,
+    """The colorer's passes in order, as (us, vs, signs) arrays: `first`,
     the pass `_first_pass_checks` read, then one replay per pass."""
     yield first
     while True:

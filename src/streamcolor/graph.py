@@ -208,38 +208,41 @@ def complete_graph(n: int) -> Graph:
 
 
 def legal_final_edges(
-    n: int, signs: np.ndarray, lo: np.ndarray, hi: np.ndarray
+    n: int, signs: np.ndarray, us: np.ndarray, vs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The stream-legality rule; returns the final edge set.
 
-    Takes each update (sign, u, v) as sign, lo = min(u, v) and
-    hi = max(u, v).  A stream on vertices 1..n is legal when every update
-    has u != v, both vertices in [1, n] and sign +1 or -1, and every
-    edge's running multiplicity stays in {0, 1}: no duplicate insertion,
-    no deletion of an absent edge.  The first offending update in stream
-    order raises IllegalUpdateError, naming the first of these checks it
-    fails.  The final edges come back as (lo, hi) int64 arrays in sorted
-    order.
+    Takes each update (sign, u, v) as the three arrays hold it, with u and
+    v in either order.  A stream on vertices 1..n is legal when every
+    update has u != v, both vertices in [1, n] and sign +1 or -1, and
+    every edge's running multiplicity stays in {0, 1}: no duplicate
+    insertion, no deletion of an absent edge.  The first offending update
+    in stream order raises IllegalUpdateError, naming the first of these
+    checks it fails.  The final edges come back as (lo, hi) int64 arrays,
+    lo < hi, in sorted order.
 
-    The multiplicity check sorts the updates stably by edge.  With signs
-    of +1 and -1, an edge's multiplicity stays in {0, 1} exactly when its
-    run of updates alternates +1, -1, +1, ..., and its final
-    multiplicity is 1 when the run ends on +1.  The steps work in place
-    where they can, so the temporaries peak at about three int64 words
-    per update: the edge keys, their sort order and the sorted keys.
+    The multiplicity check sorts the updates stably by edge key
+    min(u, v) * base + max(u, v).
+    With signs of +1 and -1, an edge's multiplicity stays in {0, 1}
+    exactly when its run of updates alternates +1, -1, +1, ..., and its
+    final multiplicity is 1 when the run ends on +1.  The steps work in
+    place where they can, so the temporaries peak at about three int64
+    words per update: the edge keys, their sort order and the sorted keys.
     """
-    bad = lo == hi
-    bad |= lo < 1
-    bad |= hi > n
+    bad = us == vs
+    for ends in (us, vs):
+        bad |= ends < 1
+        bad |= ends > n
     bad |= (signs != 1) & (signs != -1)
     first = int(np.argmax(bad)) if bad.any() else len(signs)
     del bad
     # updates before the first malformed one decide any earlier violation
-    base = int(hi[:first].max(initial=0)) + 1
+    base = max(int(us[:first].max(initial=0)), int(vs[:first].max(initial=0))) + 1
     if base > MAX_VERTEX + 1:
         raise TooLargeError(f"vertex {base - 1} is above MAX_VERTEX = {MAX_VERTEX}")
-    keys = lo[:first] * base
-    keys += hi[:first]
+    keys = np.minimum(us[:first], vs[:first])
+    keys *= base
+    keys += np.maximum(us[:first], vs[:first])
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     insert = (signs[:first] == 1)[order]
@@ -253,13 +256,16 @@ def legal_final_edges(
     if wrong.any():
         first = int(order[wrong].min())
     if first < len(signs):
-        _raise_illegal(n, int(signs[first]), int(lo[first]), int(hi[first]))
+        _raise_illegal(n, int(signs[first]), int(us[first]), int(vs[first]))
     del order
     # the last update of each run is +1 where the edge is in the final graph
     insert[:-1] &= ~same
     final = keys[insert]
     del keys
-    return np.divmod(final, base)
+    # lo in place: np.divmod would hold a third array of final edges
+    hi = final % base
+    final //= base
+    return final, hi
 
 
 def _raise_illegal(n: int, sign: int, u: int, v: int) -> None:
@@ -283,8 +289,7 @@ def materialize(n: int, updates: Iterable[EdgeUpdate]) -> Graph:
     legality rule of `legal_final_edges`.
     """
     view = UpdateView.of(updates)
-    lo, hi = np.minimum(view.us, view.vs), np.maximum(view.us, view.vs)
-    return Graph._from_sorted_arrays(n, *legal_final_edges(n, view.signs, lo, hi))
+    return Graph._from_sorted_arrays(n, *legal_final_edges(n, view.signs, view.us, view.vs))
 
 
 class PartialColoring:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..counters import CounterBank, argmin_counter, counters_update
-from ..errors import ImproperOutputError, UsageError
+from ..errors import ImproperOutputError, PaletteExhaustedError, UsageError
 from ..graph import (
     Edge,
     EdgeUpdate,
@@ -185,7 +185,13 @@ def run_game(
 
 class ProductStrategy(Strategy):
     """Each player properly colors its own share with a small palette and
-    publishes it; the last player outputs the coordinate-product color."""
+    publishes it; the last player outputs the coordinate-product color.
+
+    The share palette of delta // k + 1 colors fits any share of degree
+    at most delta // k.  A share of higher degree that greedy cannot fit
+    into it is outside what this strategy handles: UsageError, naming
+    the share, its degree and the palette.
+    """
 
     name = "product"
 
@@ -193,18 +199,28 @@ class ProductStrategy(Strategy):
     def share_palette(spec: GameSpec) -> int:
         return spec.delta // spec.k + 1
 
-    def _color_share(self, spec: GameSpec, share: tuple[Edge, ...]) -> PartialColoring:
+    def _color_share(
+        self, spec: GameSpec, index: int, share: tuple[Edge, ...]
+    ) -> PartialColoring:
         g = Graph(spec.n, share)
-        return greedy_extend(g, PartialColoring(spec.n, self.share_palette(spec)))
+        palette = self.share_palette(spec)
+        try:
+            return greedy_extend(g, PartialColoring(spec.n, palette))
+        except PaletteExhaustedError as exc:
+            raise UsageError(
+                f"share {index} has degree {max_degree(g)}, above delta // k = "
+                f"{palette - 1}; it does not fit the product strategy's share "
+                f"palette [1, {palette}]"
+            ) from exc
 
     def message(self, spec, index, share, history):
-        own = self._color_share(spec, share)
+        own = self._color_share(spec, index, share)
         return encode_colors(own.colors(), self.share_palette(spec))
 
     def output(self, spec, share, history):
         palette = self.share_palette(spec)
         coordinates = [decode_colors(bits, spec.n, palette) for bits in history]
-        coordinates.append(list(self._color_share(spec, share).colors()))
+        coordinates.append(list(self._color_share(spec, spec.k, share).colors()))
         combined = []
         for v in range(spec.n):
             code, scale = 0, 1

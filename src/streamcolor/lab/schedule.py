@@ -23,10 +23,21 @@ from .lnscaled import LnScaled
 #: the worst-case constant for the simplified theorem-style bound
 ETA_0 = 100
 
+#: The calculators' declared domain: n, delta and s at most 2^128, and k
+#: and q at most 32, given or derived by `corollary_check`.  Inside it no
+#: conversion to float raises, and every exact bound prints within
+#: Python's 4300-digit limit on int-to-str conversion: the theorem
+#: bound's numerator is at most (n * delta)^k <= 2^8192, 2467 digits.
+MAX_VALUE_BITS = 128
+MAX_LEVELS = 32
 
-def _require_positive_int(name: str, value) -> int:
+
+def _require_positive_int(name: str, value, limit: int = 1 << MAX_VALUE_BITS) -> int:
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise UsageError(f"{name} must be a positive integer, got {value!r}")
+    if value > limit:
+        shown = f"2^{MAX_VALUE_BITS}" if limit == 1 << MAX_VALUE_BITS else limit
+        raise UsageError(f"{name} = {value} is above the limit of {shown}")
     return value
 
 
@@ -83,7 +94,7 @@ def schedule(n: int, delta: int, k: int, s: int) -> AdversarySchedule:
     """
     n = _require_positive_int("n", n)
     delta = _require_positive_int("delta", delta)
-    k = _require_positive_int("k", k)
+    k = _require_positive_int("k", k, MAX_LEVELS)
     s = _require_positive_int("s", s)
 
     warnings = []
@@ -132,7 +143,7 @@ def theorem_color_bound(n: int, delta: int, k: int, s: int) -> Fraction:
     """Simplified worst-constant form (1/(ETA_0*k))**(2k) * (n*delta/s)**k."""
     _require_positive_int("n", n)
     _require_positive_int("delta", delta)
-    _require_positive_int("k", k)
+    _require_positive_int("k", k, MAX_LEVELS)
     _require_positive_int("s", s)
     return Fraction(1, (ETA_0 * k) ** (2 * k)) * Fraction(n * delta, s) ** k
 
@@ -208,13 +219,16 @@ def corollary_check(
     * q = 1 has n*delta/s = 200*log2(n), so ln(bound) =
       k*ln(log2(n) / (50*k**2)) <= 0.104*sqrt(log2(n)) for every k,
       against a target ln of delta**(1/4) = 3.76*sqrt(log2(n)).
+
+    q, alpha and the delta and s they derive must lie in the calculators'
+    declared domain (MAX_VALUE_BITS, MAX_LEVELS); UsageError otherwise.
     """
     _require_positive_int("n", n)
     if (q is None) == (alpha is None):
         raise UsageError("provide exactly one of q or alpha")
     log_n = math.log2(n)
     if q is not None:
-        q = _require_positive_int("q", q)
+        q = _require_positive_int("q", q, MAX_LEVELS)
         if n < 2:  # log2(n) = 0 leaves log_delta(n) at 0/0
             raise UsageError("q-mode needs n >= 2")
         mode, parameter = "q", Fraction(q)
@@ -226,11 +240,23 @@ def corollary_check(
         alpha = Fraction(alpha)
         if not (0 < alpha < 1):
             raise UsageError(f"alpha must lie in (0,1), got {alpha}")
+        if alpha < Fraction(1, 2 * MAX_LEVELS):
+            # k = round(1 / (2 * alpha)) levels
+            raise UsageError(
+                f"alpha = {alpha} is below the limit of 1/{2 * MAX_LEVELS}, "
+                f"which keeps k at most {MAX_LEVELS}"
+            )
         mode, parameter = "alpha", alpha
         delta = max(1, round(n ** float(2 * alpha)))
         k = max(1, round(1 / float(2 * alpha)))
         s = max(1, math.ceil(n ** float(1 + alpha)))
         threshold_ln = math.log(delta) / float(3 * alpha)
+    for name, value in (("delta", delta), ("s", s)):
+        if value > 1 << MAX_VALUE_BITS:
+            raise UsageError(
+                f"{mode} = {parameter} at n = {n} gives {name} = {value}, "
+                f"above the limit of 2^{MAX_VALUE_BITS}"
+            )
     bound = theorem_color_bound(n, delta, k, s)
     bound_ln = _log_fraction(bound)
     return CorollaryCheck(

@@ -302,6 +302,25 @@ def test_lb_params_q_corollary_on_one_vertex_exits_two(capsys):
     assert (code, out, err) == (2, "", "error: q-mode needs n >= 2\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["--n", str(10**400), "--delta", "3", "--k", "2", "--s", "5"],
+     f"n = {10**400} is above the limit of 2^128"),
+    (["--n", "4", "--delta", "3", "--k", "33", "--s", "5"],
+     "k = 33 is above the limit of 32"),
+    (["--n", "1048576", "--delta", "16", "--k", "2", "--s", "100", "--corollary", "q=400"],
+     "q = 400 is above the limit of 32"),
+    (["--n", "1048576", "--delta", "16", "--k", "2", "--s", "100", "--corollary", "q=32"],
+     "q = 32 at n = 1048576 gives delta = 1717986918399999946113040055930046585470189568, "
+     "above the limit of 2^128"),
+    (["--n", "1048576", "--delta", "16", "--k", "2", "--s", "100",
+      "--corollary", "alpha=1/100000"],
+     "alpha = 1/100000 is below the limit of 1/64, which keeps k at most 32"),
+])
+def test_lb_params_outside_the_declared_domain_exits_two(capsys, argv, message):
+    code, out, err = run(capsys, "lb-params", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_lb_params_rejects_bad_tuple(capsys):
     code, _, _ = run(capsys, "lb-params", "--n", "0", "--delta", "4",
                      "--k", "1", "--s", "10")
@@ -394,6 +413,18 @@ def test_lb_game_product_on_cycle(tmp_path, capsys):
     assert data["k"] == 2
     assert data["strategy"] == "product"
     assert data["palette"] == 4
+
+
+def test_lb_game_product_on_a_share_above_its_palette_exits_two(tmp_path, capsys):
+    stream = tmp_path / "edge.txt"
+    stream.write_text("n 2\ndelta 1\n+ 1 2\n")
+    code, out, err = run(capsys, "lb-game", "--k", "2", "--strategy", "product",
+                         "--in", str(stream))
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: share 2 has degree 1, above delta // k = 0; it does not fit "
+        "the product strategy's share palette [1, 1]\n"
+    )
 
 
 def test_lb_game_forward_memory(tmp_path, capsys):
@@ -721,12 +752,15 @@ def _lb_argv(draw, stream: str, scheme: str) -> list[str]:
     if command == "lb-params":
         n_max = draw(st.sampled_from([2, 70]))  # often n = 1, where log2(n) = 0
         argv = [command]
+        # sometimes a value at or past the calculators' declared domain
+        large = st.sampled_from([32, 33, 2**128, 2**128 + 1, 10**400])
         for flag, hi in (("--n", n_max), ("--delta", 8), ("--k", 3), ("--s", 200)):
-            argv += [flag, str(draw(st.integers(-1, hi)))]
+            argv += [flag, str(draw(st.integers(-1, hi) | large))]
         if draw(st.booleans()):
             argv += ["--corollary", draw(st.sampled_from(
                 ["q=1", "q=2", "q=0", "q=x", "alpha=1/4", "alpha=1/2", "alpha=1",
-                 "alpha=1/0", "beta=1", ""]))]
+                 "alpha=1/0", "beta=1", "", "q=32", "q=400", "alpha=1/64",
+                 "alpha=1/100000", f"alpha=1/{10**400}"]))]
     elif command == "lb-compress":
         argv = [command, "--base", stream, "--p", draw(st.sampled_from(_LB_RATIONALS)),
                 "--d", draw(st.sampled_from(_LB_RATIONALS)),

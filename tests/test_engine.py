@@ -1,12 +1,15 @@
 """End-to-end tests for the streaming coloring algorithms."""
 
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from streamcolor import engine
 from streamcolor.engine import (
     RunReport,
     StreamSource,
@@ -19,7 +22,7 @@ from streamcolor.engine import (
     two_pass_coloring,
     two_pass_unknown_delta,
 )
-from streamcolor.errors import DegreeViolationError, IllegalUpdateError
+from streamcolor.errors import DegreeViolationError, IllegalUpdateError, StreamColorError
 from streamcolor.generator import generate_stream
 from streamcolor.graph import (
     EdgeUpdate,
@@ -92,6 +95,51 @@ def test_dynamic_storage_equals_storage_of_the_final_graph(data):
 
     final = StreamSource(n, [EdgeUpdate(1, u, v) for u, v in sorted(present)])
     assert stored(StreamSource(n, updates), True) == stored(final, False)
+
+
+def _run_recording_storage(colorer, src):
+    """colorer(src)'s coloring text, report JSON and every stored subgraph's
+    edge arrays, or the error it raised."""
+    stored = []
+
+    def record(*args):
+        sub = real(*args)
+        stored.append([a.tolist() for a in sub.edge_arrays()])
+        return sub
+
+    real = engine._stored_subgraph
+    with mock.patch.object(engine, "_stored_subgraph", record):
+        try:
+            report = colorer(src)
+        except StreamColorError as exc:
+            return type(exc), str(exc), stored
+    return dumps_coloring(report.coloring), json.dumps(report.to_json_dict()), stored
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_flipping_update_ends_changes_no_output(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    dynamic = data.draw(st.booleans())
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    drawn = data.draw(st.lists(st.sampled_from(pairs), max_size=30, unique=not dynamic))
+    present, updates = set(), []
+    for u, v in drawn:
+        sign = -1 if (u, v) in present else 1
+        present ^= {(u, v)}
+        updates.append(EdgeUpdate(sign, u, v))
+    flips = data.draw(st.lists(st.booleans(), min_size=len(updates), max_size=len(updates)))
+    flipped = [
+        EdgeUpdate(s, v, u) if f else EdgeUpdate(s, u, v) for (s, u, v), f in zip(updates, flips)
+    ]
+    delta = max_degree(Graph(n, present))
+    for colorer in (
+        lambda src: two_pass_coloring(src, delta, dynamic=dynamic),
+        lambda src: iterative_coloring(src, delta, dynamic=dynamic),
+        lambda src: two_pass_unknown_delta(src, dynamic=dynamic),
+    ):
+        as_written = _run_recording_storage(colorer, StreamSource(n, updates))
+        assert _run_recording_storage(colorer, StreamSource(n, flipped)) == as_written
 
 
 class TestTwoPass:
@@ -333,7 +381,8 @@ class TestStreamSource:
         src = source_of([(2, 1), (2, 3)], 3)
         first = [arr.copy() for arr in src.replay_arrays()]
         second = src.replay_arrays()
-        assert [arr.tolist() for arr in first] == [[1, 2], [2, 3], [1, 1]]
+        # the stream as written: (us, vs, signs), ends in the order given
+        assert [arr.tolist() for arr in first] == [[2, 2], [1, 3], [1, 1]]
         assert all(np.array_equal(a, b) for a, b in zip(first, second))
 
     def test_from_graph_sorted(self):

@@ -8,6 +8,10 @@ plus the file bytes for the parser, plus ALLOWANCE.  The whole-buffer
 parser peaked at 31.9 MB here and the old legality rule at 11.4 MB, well
 above these bounds.
 
+The passes read the parsed table as it is, so the first replay, which
+runs the legality rule, leaves less than 1 MiB traced behind it.  A
+cached (lo, hi) copy of the ends held 2.4 MB here.
+
 The iterative colorer's first counter bank, over an all-zero base, is
 bounded by ALLOWANCE: the kernel forms its per-edge inverses in column
 blocks of fixed width, so its temporaries do not grow with the stream.
@@ -51,16 +55,22 @@ def dense_stream(tmp_path_factory):
     return path
 
 
-def _traced_peak(fn):
-    """fn's result and the traced peak above what was live before it."""
+def _traced(fn):
+    """fn's result, its traced peak and the traced memory still held after
+    it returns, both above what was live before it."""
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         out = fn()
-        peak = tracemalloc.get_traced_memory()[1] - before
+        held, peak = (size - before for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    return out, peak
+    return out, peak, held
+
+
+def _traced_peak(fn):
+    """fn's result and the traced peak above what was live before it."""
+    return _traced(fn)[:2]
 
 
 def test_read_stream_peak_is_its_output_and_file(dense_stream):
@@ -73,13 +83,18 @@ def test_read_stream_peak_is_its_output_and_file(dense_stream):
 
 def test_legal_final_edges_peak_is_its_output(dense_stream):
     sf = read_stream(dense_stream)
-    us, vs = sf.updates.us, sf.updates.vs
-    lo, hi = np.minimum(us, vs), np.maximum(us, vs)
     (final_lo, final_hi), peak = _traced_peak(
-        lambda: legal_final_edges(sf.n, sf.updates.signs, lo, hi)
+        lambda: legal_final_edges(sf.n, sf.updates.signs, sf.updates.us, sf.updates.vs)
     )
     assert final_lo.size == 150000
     assert peak < final_lo.nbytes + final_hi.nbytes + ALLOWANCE
+
+
+def test_replay_holds_no_copy_of_the_stream(dense_stream):
+    src = StreamSource.from_stream_file(read_stream(dense_stream))
+    arrays, _, held = _traced(src.replay_arrays)
+    assert arrays[0].size == 150000
+    assert held < 1 << 20
 
 
 def test_first_iterative_bank_peak_is_bounded(dense_stream):
