@@ -65,11 +65,16 @@ def _rat(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _finite(x: float) -> float | None:
+    """x, or None (JSON null) where it overflowed the float range."""
+    return x if math.isfinite(x) else None
+
+
 def _scaled_dict(value: LnScaled) -> dict:
     return {
         "coeff": _rat(value.coeff),
         "ln2_power": value.power,
-        "value": value.to_float(),
+        "value": _finite(value.to_float()),
     }
 
 
@@ -360,6 +365,7 @@ def cmd_lb_params(args) -> int:
 
 def cmd_lb_compress(args) -> int:
     from .lab.compression import (
+        MAX_SUMMARY_BITS,
         check_compression_lemma,
         identity_scheme,
         parity_scheme,
@@ -371,11 +377,13 @@ def cmd_lb_compress(args) -> int:
     base = materialize(sf.n, sf.updates)
     if args.s < 1:
         raise UsageError("--s must be at least 1")
+    if args.s > MAX_SUMMARY_BITS:
+        raise UsageError(f"--s = {args.s} is above the limit of {MAX_SUMMARY_BITS}")
     dist = RandomGraphDistribution(base, args.p, args.d, args.seed)
     if args.scheme == "parity":
         scheme = parity_scheme(bits=args.s)
     elif args.scheme == "identity":
-        scheme = identity_scheme(base, bits=args.s)
+        scheme = identity_scheme(args.s)
     elif args.scheme.startswith("file:"):
         scheme = scheme_from_file(args.scheme[len("file:") :], bits=args.s)
     else:
@@ -383,7 +391,7 @@ def cmd_lb_compress(args) -> int:
     result = check_compression_lemma(dist, scheme)
     payload = {
         "min_missing": result["min_missing"],
-        "bound": result["bound"],
+        "bound": _finite(result["bound"]),
         "holds": result["holds"],
     }
     _emit(args, payload)
@@ -406,6 +414,7 @@ def cmd_lb_game(args) -> int:
         raise UsageError("lb-game expects an insertion-only stream")
     graph = materialize(sf.n, sf.updates)
     delta = sf.delta if sf.delta is not None else max_degree(graph)
+    spec = GameSpec(sf.n, delta, args.k)
     edges = graph.edges_sorted()
     k = args.k
     shares = tuple(
@@ -416,7 +425,6 @@ def cmd_lb_game(args) -> int:
         strategy = ProductStrategy()
     else:
         strategy = ForwardMemoryStrategy(StoreAllEdgesAlgorithm())
-    spec = GameSpec(sf.n, delta, k)
     try:
         payload, violations = run_game(strategy, spec, shares).to_json_dict(), []
     except ImproperOutputError as err:
@@ -445,7 +453,8 @@ def main(argv=None) -> int:
         return exc.exit_code
     except OSError as exc:  # a file that cannot be read or written
         reason = (exc.strerror or str(exc)).lower()
-        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
+        where = "<stdout>" if exc.filename is None else exc.filename
+        print(f"error: {reason}: {where}", file=sys.stderr)
         return UsageError.exit_code
 
 

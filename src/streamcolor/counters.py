@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NegativeCounterError
-from .graph import EdgeUpdate, PartialColoring, normalize_edge
+from .graph import PartialColoring, normalize_edge
 from .hashfam import ColoringFamily
 
 # elements per sweep block.  On a 2-vCPU Xeon VM with numpy 2.4.6, at
@@ -201,8 +201,7 @@ def member_collision_mask(
 ) -> np.ndarray:
     """Boolean mask over members: does member a color (u, v) alike?
 
-    Direct O(p) evaluation, used for single updates and as an oracle
-    for the batched kernel.
+    Direct O(p) evaluation, the oracle for the batched kernel.
     """
     normalize_edge(u, v)
     # colors are below p, so a palette above p acts as p
@@ -251,19 +250,6 @@ class CounterBank:
 
     def entry_count(self) -> int:
         return int(self.counts.shape[0])
-
-
-def counters_update(bank: CounterBank, update: EdgeUpdate) -> CounterBank:
-    """Apply one signed edge update; returns a new bank.
-
-    Raises NegativeCounterError if any counter would drop below zero.
-    """
-    mask = member_collision_mask(bank.family, bank.base, update.u, update.v)
-    counts = bank.counts + update.sign * mask.astype(np.int64)
-    if (counts < 0).any():
-        member = int(np.argmax(counts < 0))
-        raise NegativeCounterError(f"counter for member {member} went negative")
-    return CounterBank(bank.family, bank.base, counts)
 
 
 def argmin_counter(bank: CounterBank) -> int:

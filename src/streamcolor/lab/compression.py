@@ -1,9 +1,10 @@
 """Summaries of sampled graphs and the missing-edge bound.
 
-A compression scheme maps each graph in a distribution's support to a
-fixed-width bit string.  For each summary value, the missing set is the
-set of base edges contained in no graph with that summary; the checker
-verifies that some non-empty summary class misses at most
+A compression scheme maps each graph in a distribution's support, given
+as its subset bitmask over base edge rank, to a fixed-width bit string of
+at most MAX_SUMMARY_BITS bits.  For each summary value, the missing set
+is the set of base edges contained in no graph with that summary; the
+checker verifies that some non-empty summary class misses at most
 ln2 * (bits + 1) / p base edges.
 """
 
@@ -18,7 +19,7 @@ from typing import Callable, Iterable
 import numpy as np
 
 from ..errors import StreamFormatError, TooLargeError, UsageError
-from ..graph import Edge, Graph
+from ..graph import Edge
 from ..prng import splitmix64_next
 from ..streamio import _utf8
 from .distribution import (
@@ -28,40 +29,31 @@ from .distribution import (
     _GAMMA,
     _MASK64,
     _popcount_u32,
-    edge_mask,
     support_table,
 )
 from .lnscaled import LnScaled
 
 DEFAULT_LABELING_CAP = 20
+# widest summary a scheme may emit; 64 bits already label every subset of
+# a base at the enumeration cap (2^24 subsets) injectively
+MAX_SUMMARY_BITS = 64
 
 
 @dataclass(frozen=True)
 class CompressionScheme:
-    """Deterministic map from support graphs to ``bits``-wide bit strings.
-
-    ``mask_label``, when set, computes the label straight from a subset
-    bitmask so enumeration loops can skip building Graph objects.
-    """
+    """Deterministic map from subset bitmasks over base edge rank to
+    ``bits``-wide bit strings."""
 
     bits: int
-    label: Callable[[Graph], str]
+    label: Callable[[int], str]
     name: str = "custom"
-    mask_label: Callable[[int], str] | None = None
 
     def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("summary width must be at least 1 bit")
+        if not 1 <= self.bits <= MAX_SUMMARY_BITS:
+            raise ValueError(f"summary width must lie in [1, {MAX_SUMMARY_BITS}] bits")
 
-    def apply(self, g: Graph) -> str:
-        return self._check(self.label(g))
-
-    def apply_mask(self, table: SupportTable, mask: int) -> str:
-        if self.mask_label is not None:
-            return self._check(self.mask_label(mask))
-        return self._check(self.label(table.graph(mask)))
-
-    def _check(self, out: str) -> str:
+    def apply(self, mask: int) -> str:
+        out = self.label(mask)
         if not isinstance(out, str) or len(out) != self.bits:
             raise ValueError(
                 f"scheme {self.name!r} must emit exactly {self.bits} bits"
@@ -78,33 +70,19 @@ def _bit_string(value: int, bits: int) -> str:
 def parity_scheme(bits: int = 1) -> CompressionScheme:
     """Summary = edge-count parity, zero-padded to ``bits``."""
     return CompressionScheme(
-        bits=bits,
-        label=lambda g: _bit_string(g.m % 2, bits),
-        name="parity",
-        mask_label=lambda mask: _bit_string(mask.bit_count() % 2, bits),
+        bits, lambda mask: _bit_string(mask.bit_count() % 2, bits), "parity"
     )
 
 
-def identity_scheme(base: Graph, bits: int) -> CompressionScheme:
+def identity_scheme(bits: int) -> CompressionScheme:
     """Summary = low ``bits`` of the subset bitmask over base edge rank."""
-    rank = {e: i for i, e in enumerate(base.edges_sorted())}
-    return CompressionScheme(
-        bits=bits,
-        label=lambda g: _bit_string(edge_mask(rank, g), bits),
-        name="identity",
-        mask_label=lambda mask: _bit_string(mask, bits),
-    )
+    return CompressionScheme(bits, lambda mask: _bit_string(mask, bits), "identity")
 
 
 def constant_scheme(bits: int, value: str | None = None) -> CompressionScheme:
     """Every graph maps to one fixed summary."""
     fixed = "0" * bits if value is None else value
-    return CompressionScheme(
-        bits=bits,
-        label=lambda g: fixed,
-        name="constant",
-        mask_label=lambda mask: fixed,
-    )
+    return CompressionScheme(bits, lambda mask: fixed, "constant")
 
 
 def random_scheme(bits: int, seed: int) -> CompressionScheme:
@@ -114,15 +92,7 @@ def random_scheme(bits: int, seed: int) -> CompressionScheme:
         _, out = splitmix64_next((seed + (mask + 1) * _GAMMA) & _MASK64)
         return _bit_string(out, bits)
 
-    def from_graph(g: Graph) -> str:
-        raise ValueError("random schemes label bitmasks; apply via a support table")
-
-    return CompressionScheme(
-        bits=bits,
-        label=from_graph,
-        name=f"random[{seed}]",
-        mask_label=from_mask,
-    )
+    return CompressionScheme(bits, from_mask, f"random[{seed}]")
 
 
 def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
@@ -176,12 +146,7 @@ def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
         except KeyError:
             raise UsageError(f"scheme file has no entry for mask {mask:#x}") from None
 
-    def from_graph(g: Graph) -> str:
-        raise ValueError("file schemes label bitmasks; apply via a support table")
-
-    return CompressionScheme(
-        bits=bits, label=from_graph, name="file", mask_label=from_mask
-    )
+    return CompressionScheme(bits, from_mask, "file")
 
 
 @dataclass(frozen=True)
@@ -233,9 +198,7 @@ def label_partition(
     table: SupportTable, scheme: CompressionScheme
 ) -> dict[str, LabelClass]:
     """Group the support by summary value."""
-    return partition(
-        table, (scheme.apply_mask(table, mask) for mask in table.masks.tolist())
-    )
+    return partition(table, map(scheme.apply, table.masks.tolist()))
 
 
 def fewest_missing(table: SupportTable, part: dict[str, LabelClass]) -> tuple[str, int]:

@@ -75,10 +75,11 @@ class RandomGraphDistribution:
 
     def hypotheses_ok(self) -> bool:
         """d >= max(base degree, 4*ln(2n)/p), the regime where rejection
-        is provably rare and the compression bound applies."""
+        is provably rare and the compression bound applies.  p * d is an
+        exact Fraction, so neither converts to float."""
         if self.d < max_degree(self.base):
             return False
-        return float(self.d) >= 4.0 * math.log(2 * self.base.n) / float(self.p)
+        return self.p * self.d >= 4 * math.log(2 * self.base.n)
 
     def _draw_rng(self, index: int) -> SplitMix64:
         if index < 0:

@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..counters import CounterBank, argmin_counter, counters_update
+import numpy as np
+
+from ..counters import CounterBank, argmin_counter
 from ..errors import ImproperOutputError, PaletteExhaustedError, UsageError
 from ..graph import (
     Edge,
-    EdgeUpdate,
     Graph,
     PartialColoring,
     greedy_extend,
@@ -27,11 +28,13 @@ from ..graph import (
 )
 from ..hashfam import basic_family
 from ..streamio import dumps_coloring, loads_coloring
+from .schedule import MAX_LEVELS
 
 
 @dataclass(frozen=True)
 class GameSpec:
-    """Public parameters every player knows up front."""
+    """Public parameters every player knows up front; k is at most the
+    schedule's MAX_LEVELS."""
 
     n: int
     delta: int
@@ -40,6 +43,8 @@ class GameSpec:
     def __post_init__(self):
         if self.n < 1 or self.delta < 0 or self.k < 1:
             raise UsageError("need n >= 1, delta >= 0, k >= 1")
+        if self.k > MAX_LEVELS:
+            raise UsageError(f"k = {self.k} is above the limit of {MAX_LEVELS}")
 
 
 @dataclass(frozen=True)
@@ -272,14 +277,18 @@ class ParityMessageStrategy(Strategy):
 
 
 class OnePassAlgorithm:
-    """A streaming procedure whose whole state can cross the blackboard."""
+    """A streaming procedure whose whole state can cross the blackboard.
+
+    A player ingests its whole share at once: `ingest` takes the state so
+    far and the share's edges and returns the next state.
+    """
 
     name = "abstract"
 
     def start(self, n: int, delta: int):
         raise NotImplementedError
 
-    def ingest(self, state, edge: Edge):
+    def ingest(self, state, share: Sequence[Edge]):
         raise NotImplementedError
 
     def encode(self, state) -> str:
@@ -304,8 +313,8 @@ class StoreAllEdgesAlgorithm(OnePassAlgorithm):
     def start(self, n, delta):
         return frozenset()
 
-    def ingest(self, state, edge):
-        return state | {normalize_edge(*edge)}
+    def ingest(self, state, share):
+        return state | {normalize_edge(u, v) for u, v in share}
 
     def encode(self, state):
         lines = "".join(f"{u} {v}\n" for u, v in sorted(state))
@@ -329,6 +338,9 @@ class CounterPassAlgorithm(OnePassAlgorithm):
     Finishing returns the member with the fewest monochromatic edges;
     that coloring is generally not proper, so this wrapper is for
     studying the state-forwarding reduction, not for winning the game.
+    A share is counted in one batch through `CounterBank.from_arrays`;
+    the counts are linear, so the forwarded state equals one bank over
+    the union of the shares.
     """
 
     name = "counter-pass"
@@ -336,9 +348,12 @@ class CounterPassAlgorithm(OnePassAlgorithm):
     def start(self, n, delta):
         return CounterBank.empty(basic_family(n, delta))
 
-    def ingest(self, state, edge):
-        u, v = normalize_edge(*edge)
-        return counters_update(state, EdgeUpdate(1, u, v))
+    def ingest(self, state, share):
+        edges = np.array([normalize_edge(u, v) for u, v in share], dtype=np.int64)
+        us, vs = edges.reshape(-1, 2).T
+        ones = np.ones(us.size, dtype=np.int64)
+        batch = CounterBank.from_arrays(state.family, None, us, vs, ones)
+        return CounterBank(state.family, None, state.counts + batch.counts)
 
     def encode(self, state):
         counts = " ".join(str(int(c)) for c in state.counts)
@@ -374,9 +389,7 @@ class ForwardMemoryStrategy(Strategy):
             state = alg.decode(history[-1], spec.n, spec.delta)
         else:
             state = alg.start(spec.n, spec.delta)
-        for edge in share:
-            state = alg.ingest(state, edge)
-        return state
+        return alg.ingest(state, share)
 
     def message(self, spec, index, share, history):
         return self.algorithm.encode(self._advance(spec, share, history))

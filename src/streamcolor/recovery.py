@@ -267,13 +267,6 @@ class SparseRecoverySketch:
     def _fq(self) -> _Fq:
         return _Fq(self.q)
 
-    def update(self, sign: int, u: int, v: int) -> None:
-        self.update_batch(
-            np.array([sign], dtype=np.int64),
-            np.array([u], dtype=np.int64),
-            np.array([v], dtype=np.int64),
-        )
-
     def update_batch(self, signs, us, vs) -> None:
         signs = np.asarray(signs, dtype=np.int64)
         us = np.asarray(us, dtype=np.int64)

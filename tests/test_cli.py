@@ -1,8 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import contextlib
+import errno
 import io
 import json
+import os
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -321,6 +324,26 @@ def test_lb_params_outside_the_declared_domain_exits_two(capsys, argv, message):
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+def test_lb_params_prints_null_for_values_past_the_float_range(capsys):
+    code, out, _ = run(capsys, "lb-params", "--n", "1", "--delta", "1",
+                       "--k", "12", "--s", str(10**38))
+    assert code == 0
+    data = json.loads(out, parse_constant=_reject_constant)
+    # d_9 .. d_12 pass 1.8e308; every other value is finite
+    assert [d["value"] is None for d in data["d_i"]] == [False] * 8 + [True] * 4
+    assert None not in [p["value"] for p in data["p_i"]] + [data["lemma49_bound"]["value"]]
+
+
+def test_write_error_on_stdout_names_stdout(capsys, monkeypatch):
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(sys, "stdout", Full())
+    code = main(["lb-params", "--n", "4", "--delta", "2", "--k", "1", "--s", "1"])
+    assert (code, capsys.readouterr().err) == (2, "error: no space left on device: <stdout>\n")
+
+
 def test_lb_params_rejects_bad_tuple(capsys):
     code, _, _ = run(capsys, "lb-params", "--n", "0", "--delta", "4",
                      "--k", "1", "--s", "10")
@@ -387,6 +410,27 @@ def test_lb_compress_scheme_file_without_a_used_mask_exits_two(tmp_path, capsys)
     assert (code, out, err) == (2, "", "error: scheme file has no entry for mask 0x1\n")
 
 
+@pytest.mark.parametrize("p, d, s, expected", [
+    # p and d past the float range: exact comparisons, a bound of null
+    (f"1/{10**400}", "10", "1", (0, {"min_missing": 3, "bound": None, "holds": True})),
+    ("1/2", str(10**400), "1", (0, {"min_missing": 0, "bound": 2.772588722239781,
+                                    "holds": True})),
+    ("1/2", "10", "64", (0, {"min_missing": 0, "bound": 90.10913347279289, "holds": True})),
+    ("1/2", "10", "65", (2, "error: --s = 65 is above the limit of 64\n")),
+    ("1/2", "10", str(10**20),
+     (2, f"error: --s = {10**20} is above the limit of 64\n")),
+])
+def test_lb_compress_at_the_declared_limits(tmp_path, capsys, p, d, s, expected):
+    stream = tmp_path / "tri.txt"
+    stream.write_text(TRIANGLE)
+    code, out, err = run(capsys, "lb-compress", "--base", str(stream), "--p", p, "--d", d,
+                         "--scheme", "parity", "--s", s)
+    if code == 0:
+        assert (code, json.loads(out, parse_constant=_reject_constant), err) == (*expected, "")
+    else:
+        assert (code, out, err) == (expected[0], "", expected[1])
+
+
 def test_lb_compress_bad_rational(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lb-compress", "--base", "x", "--p", "zebra",
@@ -437,6 +481,15 @@ def test_lb_game_forward_memory(tmp_path, capsys):
     assert data["proper"] is True
     assert data["strategy"] == "forward-memory[store-all-edges]"
     assert data["palette"] == 3
+
+
+@pytest.mark.parametrize("k", [33, 10**20])
+def test_lb_game_above_the_level_limit_exits_two(tmp_path, capsys, k):
+    stream = tmp_path / "c4.txt"
+    stream.write_text("n 4\ndelta 2\n+ 1 2\n+ 2 3\n+ 3 4\n+ 1 4\n")
+    code, out, err = run(capsys, "lb-game", "--k", str(k), "--strategy", "forward-memory",
+                         "--in", str(stream))
+    assert (code, out, err) == (2, "", f"error: k = {k} is above the limit of 32\n")
 
 
 def test_lb_game_rejects_deletions(tmp_path, capsys):
@@ -742,7 +795,12 @@ def test_fuzzed_streams_exit_with_documented_codes(data, flags, coloring, cap_n)
             assert code in (0, 2, 5)
 
 
-_LB_RATIONALS = ["1/2", "1/3", "2/3", "0", "1", "3/2", "-1/2", "5", "10", "100"]
+_LB_RATIONALS = ["1/2", "1/3", "2/3", "0", "1", "3/2", "-1/2", "5", "10", "100",
+                 f"1/{10**400}", str(10**400)]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 @st.composite
@@ -766,10 +824,11 @@ def _lb_argv(draw, stream: str, scheme: str) -> list[str]:
                 "--d", draw(st.sampled_from(_LB_RATIONALS)),
                 "--scheme", draw(st.sampled_from(
                     ["parity", "identity", f"file:{scheme}", "bogus"])),
-                "--s", draw(st.integers(-1, 3).map(str)),
+                "--s", str(draw(st.integers(-1, 3) | st.just(10**20))),
                 "--seed", draw(st.integers(0, 3).map(str))]
     else:
-        argv = [command, "--k", draw(st.integers(-1, 4).map(str)), "--in", stream,
+        argv = [command, "--k", str(draw(st.integers(-1, 4) | st.sampled_from([33, 10**20]))),
+                "--in", stream,
                 "--strategy", draw(st.sampled_from(["product", "forward-memory"]))]
     return argv + draw(st.sampled_from([[], ["--quiet"]]))
 
@@ -807,14 +866,16 @@ def test_fuzzed_lab_commands_exit_with_documented_codes(stream_text, scheme_text
         stream.write_text(stream_text)
         scheme.write_text(scheme_text)
         argv = data.draw(_lb_argv(str(stream), str(scheme)))
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
             except SystemExit as exc:  # argparse rejects a flag such as --d -1/2
                 code = exc.code
         assert code in (0, 2, 3, 4, 5)
         assert (code == 0) == (err.getvalue() == "")
+        if code == 0 and out.getvalue():
+            json.loads(out.getvalue(), parse_constant=_reject_constant)
 
 
 def _error_types(cls=errors.StreamColorError):

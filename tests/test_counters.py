@@ -15,11 +15,10 @@ from streamcolor.counters import (
     _modinv_table,
     argmin_counter,
     collision_index_counts,
-    counters_update,
     member_collision_mask,
 )
 from streamcolor.errors import NegativeCounterError
-from streamcolor.graph import EdgeUpdate, PartialColoring
+from streamcolor.graph import PartialColoring
 from streamcolor.hashfam import ColoringFamily, basic_family, extension_family
 
 
@@ -205,13 +204,19 @@ def test_both_colored_equal_hits_every_member():
     assert (counts == 1).all()
 
 
+def signed_bank(fam, updates):
+    """One bank over a batch of (sign, u, v) updates, with no base."""
+    signs, us, vs = np.array(updates, dtype=np.int64).T
+    return CounterBank.from_arrays(fam, None, us, vs, signs)
+
+
 def test_update_example_frozen():
     # inserting (1,2) at n=10, palette 3 leaves member a=7 unchanged
     # because C_7(1) = 2 and C_7(2) = 1 differ
     fam = basic_family(10, 3)
     assert fam.member(7).color(1) == 2
     assert fam.member(7).color(2) == 1
-    bank = counters_update(CounterBank.empty(fam), EdgeUpdate(1, 1, 2))
+    bank = signed_bank(fam, [(1, 1, 2)])
     assert bank.counts[7] == 0
     # and the members that do collide on (1,2) are exactly a = 0, 3, 8
     assert list(np.flatnonzero(bank.counts)) == [0, 3, 8]
@@ -219,19 +224,9 @@ def test_update_example_frozen():
 
 def test_insert_then_delete_restores_counters():
     fam = basic_family(9, 2)
-    bank = CounterBank.empty(fam)
-    bank = counters_update(bank, EdgeUpdate(1, 3, 7))
-    bank = counters_update(bank, EdgeUpdate(1, 2, 7))
-    snapshot = bank.counts.copy()
-    bank = counters_update(bank, EdgeUpdate(1, 4, 9))
-    bank = counters_update(bank, EdgeUpdate(-1, 4, 9))
+    snapshot = signed_bank(fam, [(1, 3, 7), (1, 2, 7)]).counts
+    bank = signed_bank(fam, [(1, 3, 7), (1, 2, 7), (1, 4, 9), (-1, 4, 9)])
     assert (bank.counts == snapshot).all()
-
-
-def test_delete_from_empty_goes_negative():
-    fam = basic_family(9, 2)
-    with pytest.raises(NegativeCounterError):
-        counters_update(CounterBank.empty(fam), EdgeUpdate(-1, 3, 7))
 
 
 def test_from_arrays_rejects_net_negative():
@@ -256,21 +251,3 @@ def test_argmin_single_counter():
     bank = CounterBank(fam, None, np.array([4, 9], dtype=np.int64))
     assert argmin_counter(bank) == 0
     assert bank.entry_count() == 2
-
-
-@given(st.data())
-@settings(max_examples=60, deadline=None)
-def test_incremental_equals_batch(data):
-    fam, base = random_case(data.draw, max_n=14, max_palette=5)
-    pairs = [(u, v) for u in range(1, fam.n + 1) for v in range(u + 1, fam.n + 1)]
-    chosen = data.draw(
-        st.lists(st.sampled_from(pairs), max_size=12, unique=True)
-    )
-    bank = CounterBank.empty(fam, base)
-    for u, v in chosen:
-        bank = counters_update(bank, EdgeUpdate(1, u, v))
-    arr = np.array(chosen, dtype=np.int64).reshape(-1, 2)
-    batch = CounterBank.from_arrays(
-        fam, base, arr[:, 0], arr[:, 1], np.ones(len(chosen), dtype=np.int64)
-    )
-    assert (bank.counts == batch.counts).all()

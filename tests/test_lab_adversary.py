@@ -7,7 +7,7 @@ import pytest
 from streamcolor.graph import Graph, PartialColoring, complete_graph, validate_proper
 from streamcolor.lab.adversary import Counterexample, fit_bits, run_adversary
 from streamcolor.lab.compression import CompressionScheme, check_compression_lemma
-from streamcolor.lab.distribution import RandomGraphDistribution
+from streamcolor.lab.distribution import RandomGraphDistribution, support_table
 from streamcolor.lab.game import (
     ConstantColorStrategy,
     DistinctColorsStrategy,
@@ -121,8 +121,12 @@ def test_two_level_matches_compression_view():
     ]
     for lvl, p_i, d_i, (base, message) in zip(report.levels, p, d, levels):
         dist = RandomGraphDistribution(base, p_i, d_i, seed=0)
+        table = support_table(dist)
         scheme = CompressionScheme(
-            bits=2, label=lambda g, message=message: fit_bits(message(tuple(g.edges_sorted())), 2)
+            bits=2,
+            label=lambda mask, table=table, message=message: fit_bits(
+                message(table.edges_of(mask)), 2
+            ),
         )
         check = check_compression_lemma(dist, scheme)
         assert lvl.base_edge_count == base.m

@@ -8,6 +8,7 @@ import pytest
 from streamcolor.errors import StreamFormatError, TooLargeError
 from streamcolor.graph import Graph, complete_graph
 from streamcolor.lab.compression import (
+    MAX_SUMMARY_BITS,
     CompressionScheme,
     check_compression_lemma,
     constant_scheme,
@@ -38,38 +39,32 @@ def triangle_dist(p=HALF, d=Fraction(10)):
 
 def test_scheme_width_validation():
     with pytest.raises(ValueError):
-        CompressionScheme(bits=0, label=lambda g: "")
-    bad = CompressionScheme(bits=2, label=lambda g: "1")
+        CompressionScheme(bits=0, label=lambda mask: "")
     with pytest.raises(ValueError):
-        bad.apply(Graph(2, [(1, 2)]))
-    nonbinary = CompressionScheme(bits=2, label=lambda g: "2x")
+        CompressionScheme(bits=MAX_SUMMARY_BITS + 1, label=lambda mask: "")
+    bad = CompressionScheme(bits=2, label=lambda mask: "1")
     with pytest.raises(ValueError):
-        nonbinary.apply(Graph(2, [(1, 2)]))
+        bad.apply(0b1)
+    nonbinary = CompressionScheme(bits=2, label=lambda mask: "2x")
+    with pytest.raises(ValueError):
+        nonbinary.apply(0b1)
 
 
 def test_parity_scheme_labels():
     scheme = parity_scheme()
-    assert scheme.apply(Graph(3, [])) == "0"
-    assert scheme.apply(Graph(3, [(1, 2)])) == "1"
-    assert scheme.apply(Graph(3, [(1, 2), (2, 3)])) == "0"
+    assert scheme.apply(0) == "0"
+    assert scheme.apply(0b1) == "1"
+    assert scheme.apply(0b101) == "0"
     wide = parity_scheme(bits=3)
-    assert wide.apply(Graph(3, [(1, 2)])) == "001"
-
-
-def test_parity_mask_label_agrees_with_graph_label():
-    dist = triangle_dist()
-    table = support_table(dist)
-    scheme = parity_scheme()
-    for mask in table.masks.tolist():
-        assert scheme.apply_mask(table, mask) == scheme.apply(table.graph(mask))
+    assert wide.apply(0b100) == "001"
 
 
 def test_identity_scheme_is_injective_at_full_width():
     base = complete_graph(3)
     dist = RandomGraphDistribution(base, HALF, Fraction(10))
     table = support_table(dist)
-    scheme = identity_scheme(base, bits=3)
-    labels = {scheme.apply_mask(table, mask) for mask in table.masks.tolist()}
+    scheme = identity_scheme(3)
+    labels = {scheme.apply(mask) for mask in table.masks.tolist()}
     assert len(labels) == 8
 
 
@@ -90,7 +85,7 @@ def test_label_partition_counts_and_mass():
 def test_missing_graph_single_edge_identity():
     base = Graph(2, [(1, 2)])
     dist = RandomGraphDistribution(base, Fraction(1, 3), Fraction(5))
-    scheme = identity_scheme(base, bits=1)
+    scheme = identity_scheme(1)
     hit = missing_graph(dist, scheme, "1")
     assert hit.edges == frozenset() and hit.preimage_size == 1
     miss = missing_graph(dist, scheme, "0")
@@ -118,10 +113,10 @@ def test_identity_collisions_after_truncation():
     # 2-bit identity merges the empty graph with the mask-4 edge
     dist = triangle_dist(p=Fraction(3, 4), d=Fraction(1))
     table = support_table(dist)
-    part = label_partition(table, identity_scheme(dist.base, bits=2))
+    part = label_partition(table, identity_scheme(2))
     assert part["00"].count == 2
     assert part["00"].union_mask == 0b100
-    got = missing_graph(dist, identity_scheme(dist.base, bits=2), "00")
+    got = missing_graph(dist, identity_scheme(2), "00")
     assert got.edges == {(1, 2), (1, 3)}
 
 
@@ -166,7 +161,7 @@ def test_lemma_check_against_bruteforce_over_schemes():
     table = support_table(dist)
     schemes = [
         parity_scheme(),
-        identity_scheme(base, bits=2),
+        identity_scheme(2),
         constant_scheme(2),
         random_scheme(2, seed=9),
     ]
@@ -174,17 +169,11 @@ def test_lemma_check_against_bruteforce_over_schemes():
         by_label: dict[str, set] = {}
         for mask in table.masks.tolist():
             edges = set(table.graph(mask).edges_sorted())
-            by_label.setdefault(scheme.apply_mask(table, mask), set()).update(edges)
+            by_label.setdefault(scheme.apply(mask), set()).update(edges)
         want = min(len(set(base.edges_sorted()) - seen) for seen in by_label.values())
         report = check_compression_lemma(dist, scheme)
         assert report["min_missing"] == want
         assert report["labels_used"] == len(by_label)
-
-
-def test_random_scheme_rejects_direct_graph_application():
-    scheme = random_scheme(4, seed=1)
-    with pytest.raises(ValueError):
-        scheme.apply(Graph(2, [(1, 2)]))
 
 
 def test_random_scheme_deterministic_per_seed():
@@ -192,9 +181,9 @@ def test_random_scheme_deterministic_per_seed():
     b = random_scheme(8, seed=3)
     c = random_scheme(8, seed=4)
     table = support_table(triangle_dist())
-    labels_a = [a.apply_mask(table, m) for m in table.masks.tolist()]
-    labels_b = [b.apply_mask(table, m) for m in table.masks.tolist()]
-    labels_c = [c.apply_mask(table, m) for m in table.masks.tolist()]
+    labels_a = [a.apply(m) for m in table.masks.tolist()]
+    labels_b = [b.apply(m) for m in table.masks.tolist()]
+    labels_c = [c.apply(m) for m in table.masks.tolist()]
     assert labels_a == labels_b
     assert labels_a != labels_c
 
@@ -237,11 +226,10 @@ def test_scheme_from_file_roundtrip(tmp_path):
     path.write_text("# demo\n0 00\n1 01\n2 01\n4 11\n\n7 10\n")
     scheme = scheme_from_file(path)
     assert scheme.bits == 2
-    table = support_table(triangle_dist())
-    assert scheme.apply_mask(table, 0) == "00"
-    assert scheme.apply_mask(table, 4) == "11"
+    assert scheme.apply(0) == "00"
+    assert scheme.apply(4) == "11"
     with pytest.raises(ValueError):
-        scheme.apply_mask(table, 5)  # no entry
+        scheme.apply(5)  # no entry
 
 
 def test_scheme_from_file_errors(tmp_path):
@@ -280,8 +268,7 @@ def test_scheme_from_file_duplicate_consistent_is_fine(tmp_path):
     path = tmp_path / "dup.txt"
     path.write_text("5 10\n5 10\n")
     scheme = scheme_from_file(path)
-    table = support_table(triangle_dist())
-    assert scheme.apply_mask(table, 5) == "10"
+    assert scheme.apply(5) == "10"
 
 
 def test_lemma_holds_across_random_schemes_under_hypotheses():

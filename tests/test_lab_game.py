@@ -2,9 +2,11 @@
 
 import pytest
 
-from streamcolor.counters import CounterBank, counters_update
+import numpy as np
+
+from streamcolor.counters import member_collision_mask
 from streamcolor.errors import ImproperOutputError
-from streamcolor.graph import EdgeUpdate, Graph, PartialColoring, greedy_extend, validate_proper
+from streamcolor.graph import Graph, PartialColoring, greedy_extend, validate_proper
 from streamcolor.hashfam import basic_family
 from streamcolor.lab.game import (
     ConstantColorStrategy,
@@ -198,17 +200,16 @@ def test_counter_pass_state_forwarding_matches_single_stream():
     shares = (((1, 2), (3, 4)), ((2, 3), (5, 6)))
     alg = CounterPassAlgorithm()
 
-    state = alg.start(spec.n, spec.delta)
-    for edge in shares[0]:
-        state = alg.ingest(state, edge)
+    state = alg.ingest(alg.start(spec.n, spec.delta), shares[0])
     forwarded = alg.decode(alg.encode(state), spec.n, spec.delta)
-    for edge in shares[1]:
-        forwarded = alg.ingest(forwarded, edge)
+    forwarded = alg.ingest(forwarded, shares[1])
 
-    direct = CounterBank.empty(basic_family(spec.n, spec.delta))
+    # every member's count is its number of alike-colored union edges
+    family = basic_family(spec.n, spec.delta)
+    direct = np.zeros(family.p, dtype=np.int64)
     for u, v in shares[0] + shares[1]:
-        direct = counters_update(direct, EdgeUpdate(1, u, v))
-    assert list(forwarded.counts) == list(direct.counts)
+        direct += member_collision_mask(family, None, u, v)
+    assert list(forwarded.counts) == list(direct)
 
 
 def test_counter_pass_decode_validates_parameters():

@@ -106,6 +106,12 @@ def test_sum_of_many_values_near_the_largest_int64_modulus():
     assert int(fq.sums(values, 0)) == sum(values.tolist()) % q
 
 
+def feed(sketch, updates):
+    """Apply (sign, u, v) updates to the sketch as one batch."""
+    signs, us, vs = np.array(updates, dtype=np.int64).reshape(-1, 3).T
+    sketch.update_batch(signs, us, vs)
+
+
 def brute_survivors(updates):
     mult = {}
     for sign, u, v in updates:
@@ -134,8 +140,7 @@ def test_roundtrip_within_budget(data):
         ups.append((-first, u, v))
 
     sketch = SparseRecoverySketch.empty(n, k)
-    for sign, u, v in ups:
-        sketch.update(sign, u, v)
+    feed(sketch, ups)
     assert sketch.decode() == brute_survivors(ups)
 
 
@@ -161,8 +166,7 @@ def test_roundtrip_above_41_bit_field(data):
 
     sketch = SparseRecoverySketch.empty(n, k)
     assert sketch.syndromes.dtype == np.int64
-    for sign, u, v in ups:
-        sketch.update(sign, u, v)
+    feed(sketch, ups)
     want = brute_survivors(ups)
     cands = keep + churn + decoys
     assert sketch.decode(candidates=cands) == want
@@ -207,7 +211,7 @@ def test_blocked_arithmetic_matches_python_ints(monkeypatch, block):
 )
 def test_candidates_outside_universe_raise(cands, error):
     sketch = SparseRecoverySketch.empty(10, 2)
-    sketch.update(1, 1, 2)
+    feed(sketch, [(1, 1, 2)])
     with pytest.raises(error):
         sketch.decode(candidates=cands)
 
@@ -228,8 +232,7 @@ def test_overfull_never_lies(data):
         )
     )
     sketch = SparseRecoverySketch.empty(n, k)
-    for u, v in keep:
-        sketch.update(1, u, v)
+    feed(sketch, [(1, u, v) for u, v in keep])
     try:
         got = sketch.decode()
     except RecoveryFailedError:
@@ -242,9 +245,8 @@ def test_survivor_of_other_net_multiplicity_fails(multiplicity):
     # decode re-checks only the first `deg` syndromes; a survivor whose
     # net multiplicity is not 1 must still fail that check
     sketch = SparseRecoverySketch.empty(10, 3)
-    sketch.update(1, 4, 7)
-    for _ in range(abs(multiplicity)):
-        sketch.update(1 if multiplicity > 0 else -1, 1, 2)
+    sign = 1 if multiplicity > 0 else -1
+    feed(sketch, [(1, 4, 7)] + [(sign, 1, 2)] * abs(multiplicity))
     with pytest.raises(RecoveryFailedError, match="syndrome 1 mismatch after decode"):
         sketch.decode()
 
@@ -259,8 +261,8 @@ def test_update_batch_equals_single_updates():
     a = SparseRecoverySketch.empty(9, 4)
     b = SparseRecoverySketch.empty(9, 4)
     ups = [(1, 1, 2), (1, 5, 3), (-1, 2, 1), (1, 8, 9)]
-    for sign, u, v in ups:
-        a.update(sign, u, v)
+    for update in ups:
+        feed(a, [update])
     b.update_batch(
         np.array([s for s, _, _ in ups]),
         np.array([u for _, u, _ in ups]),
@@ -272,10 +274,8 @@ def test_update_batch_equals_single_updates():
 def test_merge_is_addition_of_streams():
     left = SparseRecoverySketch.empty(8, 3)
     right = SparseRecoverySketch.empty(8, 3)
-    left.update(1, 1, 2)
-    left.update(1, 3, 4)
-    right.update(1, 5, 6)
-    right.update(-1, 3, 4)
+    feed(left, [(1, 1, 2), (1, 3, 4)])
+    feed(right, [(1, 5, 6), (-1, 3, 4)])
     merged = left.merge(right)
     assert merged.decode() == [(1, 2), (5, 6)]
 
@@ -289,16 +289,14 @@ def test_merge_rejects_mismatched_shapes():
 
 def test_candidate_restriction_finds_support():
     sketch = SparseRecoverySketch.empty(10, 3)
-    for u, v in [(1, 2), (4, 7), (9, 10)]:
-        sketch.update(1, u, v)
+    feed(sketch, [(1, 1, 2), (1, 4, 7), (1, 9, 10)])
     cands = [(1, 2), (4, 7), (9, 10), (2, 3), (5, 6)]
     assert sketch.decode(candidates=cands) == [(1, 2), (4, 7), (9, 10)]
 
 
 def test_candidate_restriction_missing_root_fails_loudly():
     sketch = SparseRecoverySketch.empty(10, 3)
-    sketch.update(1, 1, 2)
-    sketch.update(1, 4, 7)
+    feed(sketch, [(1, 1, 2), (1, 4, 7)])
     with pytest.raises(RecoveryFailedError):
         sketch.decode(candidates=[(1, 2), (5, 6)])
 
@@ -310,8 +308,7 @@ def test_int64_limb_multiply_roundtrip_at_n_2000():
     q = field_modulus(n)
     assert q.bit_length() > 41
     sketch = SparseRecoverySketch.empty(n, 2)
-    sketch.update(1, 1999, 2000)
-    sketch.update(1, 1, 2)
+    feed(sketch, [(1, 1999, 2000), (1, 1, 2)])
     assert sketch.decode(candidates=[(1, 2), (5, 9), (1999, 2000)]) == [
         (1, 2),
         (1999, 2000),
@@ -325,7 +322,6 @@ def test_roundtrip_on_both_sides_of_the_limb_cutover(n, dtype):
     # q has 61 bits (31 limbs) up to n = 55109 and 62 bits (62 limbs) above
     sketch = SparseRecoverySketch.empty(n, 3)
     assert sketch.syndromes.dtype == dtype
-    for sign, u, v in [(1, 1, 2), (1, n - 1, n), (1, 5, 9), (-1, 5, 9)]:
-        sketch.update(sign, u, v)
+    feed(sketch, [(1, 1, 2), (1, n - 1, n), (1, 5, 9), (-1, 5, 9)])
     cands = [(1, 2), (5, 9), (n - 1, n), (3, 40000)]
     assert sketch.decode(candidates=cands) == [(1, 2), (n - 1, n)]
