@@ -97,12 +97,14 @@ def _outputs(*paths: str | None):
     """One text file per output path, every one opened before any is
     written; an empty path or None gives None.
 
-    If a path cannot be opened, the files created for the paths before it
-    are removed again.  No file is truncated until `_put` writes it, so a
-    file that already existed is left as it was.
+    Two paths to one regular file raise UsageError.  If a path cannot be
+    opened, or names the file of an earlier path, the files this call
+    created are removed again.  No file is truncated until `_put` writes
+    it, so a file that already existed is left as it was.
     """
     files: list = []
     created: list[str] = []
+    named: dict[tuple[int, int], str] = {}
     try:
         for path in paths:
             if not path:
@@ -112,8 +114,18 @@ def _outputs(*paths: str | None):
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
                 created.append(path)
             except FileExistsError:
+                # a dangling symlink: this open creates the file it names
+                dangling = not os.path.exists(path)
                 fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+                if dangling:
+                    created.append(os.path.realpath(path))
             files.append(open(fd, "w", encoding="utf-8", newline=""))
+            # one regular file under two paths would keep only the last text
+            st = os.fstat(fd)
+            key = (st.st_dev, st.st_ino)
+            if stat.S_ISREG(st.st_mode) and key in named:
+                raise UsageError(f"output paths {named[key]} and {path} name one file")
+            named[key] = path
     except BaseException:
         for fh in files:
             if fh is not None:
@@ -244,6 +256,9 @@ def _parser() -> argparse.ArgumentParser:
 def cmd_generate(args) -> int:
     if args.n < 1 or args.delta < 0:
         raise UsageError("need --n >= 1 and --delta >= 0")
+    if args.delta >= 1 << 63:
+        # the stream grammar holds every integer to int64
+        raise UsageError(f"--delta must be at most 2^63 - 1 = {(1 << 63) - 1}")
     if not 0.0 <= args.dynamic <= 1.0:
         raise UsageError("--dynamic must lie in [0, 1]")
     if args.density is not None and not math.isfinite(args.density):
@@ -266,6 +281,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_color(args) -> int:
+    if args.unknown_delta and args.alg == "iterative":
+        raise UsageError("--unknown-delta runs the two-pass colorer, not --alg iterative")
     sf = read_stream(args.input)
     src = StreamSource.from_stream_file(sf)
     if args.unknown_delta:

@@ -91,10 +91,11 @@ VERTEX_STATE_BYTES = 110
 # A dynamic colorer's decode candidates are held to the same cap.
 MAX_VERTEX_STATE_BYTES = 1 << 31
 # traced bytes per decode candidate, rounded up: listing the candidates
-# and sorting their encodings for `decode` peaked at 83 bytes each, both
-# for one color class and with every vertex uncolored in the final pass
-# (4,498,500 candidates)
-CANDIDATE_BYTES = 88
+# and taking their encodings for `decode` peaked at 65.0 bytes each for
+# one class of 3000 vertices, all marked (4,498,500 candidates, as with
+# every vertex uncolored in the final pass) or a tenth marked, and at
+# 17.0 bytes each for 16 classes of 1250 vertices, all marked
+CANDIDATE_BYTES = 72
 
 
 class StreamSource:
@@ -221,43 +222,32 @@ def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
     return (us, vs, signs), true_delta
 
 
-def _check_candidate_count(count: int) -> None:
-    """Raise TooLargeError before `count` decode candidates are listed if
-    they would pass MAX_VERTEX_STATE_BYTES."""
+def _candidates(classes: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Encodings of all vertex pairs with equal classes other than 0 and
+    at least one marked end (index 0 ignored), each listed once, in no set
+    order.  Raises TooLargeError before listing any pair if they would
+    pass MAX_VERTEX_STATE_BYTES."""
+    n = classes.shape[0] - 1
+    verts = np.flatnonzero(classes[1:]) + 1
+    # by class, each class's marked members first: a pair has a marked end
+    # exactly when its first end is marked
+    verts = verts[np.lexsort((~marked[verts], classes[verts]))]
+    starts = np.flatnonzero(np.diff(classes[verts], prepend=0))
+    sizes = np.diff(starts, append=verts.size)
+    tops = np.add.reduceat(marked[verts], starts)
+    # a class of s members, t of them marked: t * s - t * (t + 1) / 2 pairs
+    count = int((tops * sizes - tops * (tops + 1) // 2).sum())
     if count * CANDIDATE_BYTES > MAX_VERTEX_STATE_BYTES:
         raise TooLargeError(
             f"{count} decode candidates need about {count * CANDIDATE_BYTES} "
             f"bytes, above the cap of {MAX_VERTEX_STATE_BYTES} bytes"
         )
-
-
-def _pair_count(classes: np.ndarray, marked: np.ndarray) -> int:
-    """How many pairs `_pairs_of` lists: C(s, 2) - C(s - t, 2) summed over
-    the classes other than 0, for a class of s vertices, t of them marked."""
-    sizes = np.bincount(classes[1:])
-    rest = np.bincount(classes[1:][~marked[1:]], minlength=sizes.size)
-    sizes[0] = rest[0] = 0
-    return int((sizes * (sizes - 1) // 2 - rest * (rest - 1) // 2).sum())
-
-
-def _pairs_of(classes: np.ndarray, marked: np.ndarray) -> np.ndarray:
-    """Sorted encodings of all vertex pairs with equal classes other than
-    0 and at least one marked end (index 0 ignored)."""
-    _check_candidate_count(_pair_count(classes, marked))
-    n = classes.shape[0] - 1
-    verts = np.flatnonzero(classes[1:]) + 1
-    # stable sort: each class lists its vertices in ascending order
-    verts = verts[np.argsort(classes[verts], kind="stable")]
-    cuts = np.flatnonzero(np.diff(classes[verts])) + 1
     parts = [np.empty(0, dtype=np.int64)]
-    for members in np.split(verts, cuts):
-        own = members[marked[members]]
-        w = np.repeat(own, members.size)
-        x = np.tile(members, own.size)
-        # a pair of two marked vertices is listed once, from its smaller end
-        keep = ~marked[x] | (w < x)
-        parts.append(edge_encode_array(w[keep], x[keep], n))
-    return np.sort(np.concatenate(parts))
+    for start, s, t in zip(starts.tolist(), sizes.tolist(), tops.tolist()):
+        members = verts[start : start + s]
+        i, j = np.triu_indices(t, 1, s)
+        parts.append(edge_encode_array(members[i], members[j], n))
+    return np.concatenate(parts)
 
 
 def _stored_subgraph(
@@ -293,7 +283,7 @@ def _stored_subgraph(
     report.sketch_budgets.append(sketch_k)
     ends = _degree_array(n, us, vs, signs) > 0
     # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
-    decoded = sketch.decode(candidates=_pairs_of(np.where(ends, classes, 0), marked))
+    decoded = sketch.decode(candidates=_candidates(np.where(ends, classes, 0), marked))
     lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
     return Graph._from_sorted_arrays(n, lo, hi)
 

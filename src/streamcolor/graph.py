@@ -1,12 +1,13 @@
 """Graphs, edge-update streams, and partial colorings.
 
-Vertices are the integers 1..n.  Edges are unordered pairs stored as
-normalized tuples (u, v) with u < v.  A partial coloring maps each
-vertex to a color in [1, palette] or leaves it unassigned.  It holds one
-read-only array indexed by vertex, index 0 unused and 0 meaning
-unassigned: int64 when every color fits in int64, exact Python ints
-(object dtype) otherwise.  The colorers, the counter kernel, greedy
-extension and the validators all read that array as it is.
+Vertices are the integers 1..n.  Edges are unordered pairs, normalized
+as (u, v) with u < v; a graph holds its edges as sorted int64 arrays of
+their u and v ends.  A partial coloring maps each vertex to a color in
+[1, palette] or leaves it unassigned.  It holds one read-only array
+indexed by vertex, index 0 unused and 0 meaning unassigned: int64 when
+every color fits in int64, exact Python ints (object dtype) otherwise.
+The colorers, the counter kernel, greedy extension and the validators
+all read that array as it is.
 
 An update sequence is held as three int64 arrays (sign, u, v);
 `UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges`
@@ -113,9 +114,10 @@ class UpdateView(SequenceABC):
 
 
 class Graph:
-    """Immutable simple graph on vertices 1..n."""
+    """Immutable simple graph on vertices 1..n, held as its edges' (lo, hi)
+    int64 arrays, lo < hi, in sorted order."""
 
-    __slots__ = ("n", "_edges", "_arrays", "_adj")
+    __slots__ = ("n", "_lo", "_hi")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n < 0:
@@ -126,75 +128,55 @@ class Graph:
             _check_vertex(e[0], n)
             _check_vertex(e[1], n)
             normalized.add(e)
+        pairs = np.array(sorted(normalized), dtype=np.int64).reshape(-1, 2)
         self.n = n
-        self._edges: frozenset[Edge] | None = frozenset(normalized)
-        self._arrays: tuple[np.ndarray, np.ndarray] | None = None
-        self._adj: list[set[int]] | None = None
+        self._lo, self._hi = pairs.T.copy()
 
     @classmethod
     def _from_sorted_arrays(cls, n: int, lo: np.ndarray, hi: np.ndarray) -> "Graph":
-        """Graph over distinct in-range edges given as (lo, hi) arrays in
-        sorted order; the edge set is built on first use."""
+        """Graph over distinct in-range edges given as (lo, hi) int64
+        arrays in sorted order, taken without a check or a copy."""
         g = cls.__new__(cls)
         g.n = n
-        g._edges = None
-        g._arrays = (lo, hi)
-        g._adj = None
+        g._lo, g._hi = lo, hi
         return g
 
     @property
     def edges(self) -> frozenset[Edge]:
-        if self._edges is None:
-            lo, hi = self._arrays
-            self._edges = frozenset(zip(lo.tolist(), hi.tolist()))
-        return self._edges
+        return frozenset(self.edges_sorted())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Edges as (lo, hi) int64 arrays, in sorted order."""
-        if self._arrays is None:
-            pairs = np.array(sorted(self._edges), dtype=np.int64).reshape(-1, 2)
-            self._arrays = (pairs[:, 0].copy(), pairs[:, 1].copy())
-        return self._arrays
+        return self._lo, self._hi
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph)
             and self.n == other.n
-            and self.edges == other.edges
+            and np.array_equal(self._lo, other._lo)
+            and np.array_equal(self._hi, other._hi)
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self._lo.tobytes(), self._hi.tobytes()))
 
     def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
+        return f"Graph(n={self.n}, m={self.m})"
 
     @property
     def m(self) -> int:
-        if self._arrays is not None:
-            return self._arrays[0].shape[0]
-        return len(self._edges)
+        return self._lo.shape[0]
 
     def edges_sorted(self) -> list[Edge]:
-        lo, hi = self.edge_arrays()
-        return list(zip(lo.tolist(), hi.tolist()))
+        return list(zip(self._lo.tolist(), self._hi.tolist()))
 
     def adjacency(self) -> list[set[int]]:
         """Neighbor sets indexed by vertex (index 0 unused)."""
-        if self._adj is None:
-            adj: list[set[int]] = [set() for _ in range(self.n + 1)]
-            for u, v in self.edges:
-                adj[u].add(v)
-                adj[v].add(u)
-            self._adj = adj
-        return self._adj
-
-    def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
-
+        adj: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for u, v in self.edges_sorted():
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
 
 
 def max_degree(g: Graph) -> int:

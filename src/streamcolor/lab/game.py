@@ -16,7 +16,12 @@ from typing import Sequence
 import numpy as np
 
 from ..counters import CounterBank, argmin_counter
-from ..errors import ImproperOutputError, PaletteExhaustedError, UsageError
+from ..errors import (
+    DegreeViolationError,
+    ImproperOutputError,
+    PaletteExhaustedError,
+    UsageError,
+)
 from ..graph import (
     Edge,
     Graph,
@@ -144,7 +149,7 @@ def _normalized_shares(
         cleaned.append(tuple(edges))
     union = Graph(spec.n, seen.keys())
     if max_degree(union) > spec.delta:
-        raise UsageError(
+        raise DegreeViolationError(
             f"union max degree {max_degree(union)} exceeds promised {spec.delta}"
         )
     return tuple(cleaned), union

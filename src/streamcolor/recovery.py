@@ -290,9 +290,9 @@ class SparseRecoverySketch:
 
         `candidates` optionally restricts root extraction to a superset
         of the possible survivors, given as vertex pairs or as a 1-D
-        array of edge encodings; default is the full universe.  Every
-        returned set is re-verified against all 2k syndromes;
-        RecoveryFailedError otherwise.
+        array of edge encodings, in any order and repeats allowed; default
+        is the full universe.  Every returned set is re-verified against
+        all 2k syndromes; RecoveryFailedError otherwise.
         """
         fq = self._fq()
         if not np.any(self.syndromes):
@@ -303,7 +303,7 @@ class SparseRecoverySketch:
             raise RecoveryFailedError("nonzero syndromes with empty recurrence")
 
         cand_enc = self._candidate_encodings(candidates)
-        found = []
+        found = [np.empty(0, dtype=np.int64)]
         for lo in range(0, cand_enc.size, _BLOCK_ELEMS):
             block = cand_enc[lo : lo + _BLOCK_ELEMS]
             limbs = fq.split(fq.asarray(block))
@@ -312,7 +312,8 @@ class SparseRecoverySketch:
             for coef in conn[1:]:
                 acc = fq.mul_split(acc, limbs, coef)
             found.append(block[np.asarray(acc == 0, dtype=bool)])
-        roots = np.concatenate(found) if found else np.array([], dtype=np.int64)
+        # sorted, and a candidate listed twice is one root
+        roots = np.unique(np.concatenate(found))
         if roots.size != deg:
             raise RecoveryFailedError(
                 f"recurrence of order {deg} but {roots.size} roots found"
@@ -320,7 +321,7 @@ class SparseRecoverySketch:
 
         # mandatory verification: power sums of the decoded set must
         # reproduce every stored syndrome.  The first `deg` suffice: the
-        # deg roots, distinct as the candidates are, make
+        # deg distinct roots make
         # x^deg + c1 x^(deg-1) + ... + c_deg split as the product of
         # (x - r) over the roots r, so their power sums P_j obey
         # P_j + c1 P_(j-1) + ... + c_deg P_(j-deg) = 0 for j > deg, the
@@ -339,7 +340,7 @@ class SparseRecoverySketch:
         return [edge_decode(int(r), self.n) for r in roots.tolist()]
 
     def _candidate_encodings(self, candidates) -> np.ndarray:
-        """Sorted unique encodings of `candidates` (see decode)."""
+        """Encodings of `candidates` (see decode), in the order given."""
         universe = edge_universe(self.n)
         if candidates is None:
             return np.arange(1, universe + 1, dtype=np.int64)
@@ -348,4 +349,4 @@ class SparseRecoverySketch:
             cand = edge_encode_array(cand[:, 0], cand[:, 1], self.n)
         elif cand.size and not (1 <= cand.min() and cand.max() <= universe):
             raise OutOfRangeError(f"candidate encodings outside [1, {universe}]")
-        return np.unique(cand)
+        return cand

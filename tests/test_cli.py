@@ -65,6 +65,25 @@ def test_generate_rejects_bad_flags(capsys):
         assert (code, err) == (2, "error: --density must be finite\n")
 
 
+def test_generate_refuses_a_delta_its_parser_rejects(tmp_path, capsys):
+    out = tmp_path / "g.txt"
+    for delta in (str(1 << 63), "100000000000000000000"):
+        code, stdout, err = run(capsys, "generate", "--n", "5", "--delta", delta,
+                                "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert err == "error: --delta must be at most 2^63 - 1 = 9223372036854775807\n"
+        assert not out.exists()
+    # the largest delta the grammar holds still goes through every command
+    largest = str((1 << 63) - 1)
+    assert run(capsys, "generate", "--n", "5", "--delta", largest, "--out", str(out))[0] == 0
+    assert f"delta {largest}\n" in out.read_text()
+    for alg in ("two-pass", "iterative"):
+        colors = tmp_path / f"{alg}.txt"
+        assert run(capsys, "color", "--in", str(out), "--alg", alg,
+                   "--out", str(colors), "--quiet")[0] == 0
+        assert run(capsys, "verify", "--in", str(out), "--coloring", str(colors))[0] == 0
+
+
 def test_generate_density_above_one_asks_for_the_cap(capsys):
     outs = []
     for density in ("1e308", "2", "1"):
@@ -119,6 +138,20 @@ def test_color_unknown_delta(tmp_path, capsys):
     data = json.loads(out)
     assert data["selected_delta"] in (2, 3)
     assert data["passes"] == 2
+
+
+def test_color_unknown_delta_refuses_alg_iterative(tmp_path, capsys):
+    # checked before the stream is read: the input need not exist
+    code, out, err = run(capsys, "color", "--in", str(tmp_path / "missing.txt"),
+                         "--alg", "iterative", "--unknown-delta")
+    assert (code, out) == (2, "")
+    assert err == "error: --unknown-delta runs the two-pass colorer, not --alg iterative\n"
+    stream = tmp_path / "s.txt"
+    stream.write_text("n 4\n+ 1 2\n+ 2 3\n+ 3 4\n")
+    alone = run(capsys, "color", "--in", str(stream), "--unknown-delta")
+    assert alone[0] == 0
+    assert run(capsys, "color", "--in", str(stream), "--unknown-delta",
+               "--alg", "two-pass") == alone
 
 
 def test_color_requires_delta_header(tmp_path, capsys):
@@ -245,6 +278,39 @@ def test_color_with_unwritable_report_leaves_out_file_alone(tmp_path, capsys, ex
                      "--report", str(tmp_path / "r.json"))
     assert code == 0
     assert out.read_text() == run(capsys, "color", "--in", str(stream))[1]
+
+
+@pytest.mark.parametrize(
+    "other, old",
+    [(other, False) for other in ("c.txt", "./c.txt", "l.txt")]
+    + [(other, True) for other in ("c.txt", "./c.txt", "l.txt", "h.txt")],
+)
+def test_one_file_for_out_and_report_exits_two(tmp_path, capsys, monkeypatch, other, old):
+    # l.txt is a symlink to c.txt and h.txt a hard link, which needs c.txt
+    monkeypatch.chdir(tmp_path)
+    Path("s.txt").write_text(TRIANGLE)
+    os.symlink("c.txt", "l.txt")
+    existing = "9 9\n" if old else None
+    if old:
+        Path("c.txt").write_text(existing)
+        os.link("c.txt", "h.txt")
+    code, out, err = run(capsys, "color", "--in", "s.txt", "--out", "c.txt",
+                         "--report", other)
+    assert (code, out) == (2, "")
+    assert err == f"error: output paths c.txt and {other} name one file\n"
+    # a file the run made is removed, one that existed is left as it was
+    target = Path("c.txt")
+    assert (target.read_text() if target.exists() else None) == existing
+
+
+@pytest.mark.parametrize("report", ["t.txt", "no/r.json"])
+def test_output_made_through_a_dangling_symlink_is_removed(tmp_path, capsys, monkeypatch, report):
+    monkeypatch.chdir(tmp_path)
+    Path("s.txt").write_text(TRIANGLE)
+    os.symlink("t.txt", "l.txt")
+    code, _, _ = run(capsys, "color", "--in", "s.txt", "--out", "l.txt", "--report", report)
+    assert code == 2
+    assert not Path("t.txt").exists()
 
 
 def test_lb_params_json_shape(capsys):
@@ -469,6 +535,16 @@ def test_lb_game_product_on_a_share_above_its_palette_exits_two(tmp_path, capsys
         "error: share 2 has degree 1, above delta // k = 0; it does not fit "
         "the product strategy's share palette [1, 1]\n"
     )
+
+
+def test_lb_game_degree_violation_exits_three(tmp_path, capsys):
+    # as color does for a stream above its declared degree
+    stream = tmp_path / "path.txt"
+    stream.write_text("n 3\ndelta 1\n+ 1 2\n+ 2 3\n")
+    code, out, err = run(capsys, "lb-game", "--k", "1", "--strategy", "product",
+                         "--in", str(stream))
+    assert (code, out) == (3, "")
+    assert err == "degree violation: union max degree 2 exceeds promised 1\n"
 
 
 def test_lb_game_forward_memory(tmp_path, capsys):

@@ -13,16 +13,20 @@ from streamcolor import engine
 from streamcolor.engine import (
     RunReport,
     StreamSource,
+    _candidates,
     _ceil_log_3_2,
-    _pair_count,
-    _pairs_of,
     _stored_subgraph,
     iterative_coloring,
     run_dynamic,
     two_pass_coloring,
     two_pass_unknown_delta,
 )
-from streamcolor.errors import DegreeViolationError, IllegalUpdateError, StreamColorError
+from streamcolor.errors import (
+    DegreeViolationError,
+    IllegalUpdateError,
+    StreamColorError,
+    TooLargeError,
+)
 from streamcolor.generator import generate_stream
 from streamcolor.graph import (
     EdgeUpdate,
@@ -66,9 +70,17 @@ def test_candidate_encodings_match_pair_loops(data):
         if classes[u] == classes[v] != 0 and (marked[u] or marked[v])
     )
     classes, marked = np.array(classes, dtype=np.int64), np.array(marked)
-    assert _pairs_of(classes, marked).tolist() == expected
-    # the count the candidate guard computes before listing any pair
-    assert _pair_count(classes, marked) == len(expected)
+    # listed once each, in no set order
+    assert sorted(_candidates(classes, marked).tolist()) == expected
+    # the count the candidate guard computes before listing any pair: the
+    # cap is inclusive, and one byte less refuses that many candidates
+    need = len(expected) * engine.CANDIDATE_BYTES
+    with mock.patch.object(engine, "MAX_VERTEX_STATE_BYTES", need):
+        _candidates(classes, marked)
+    if expected:
+        with mock.patch.object(engine, "MAX_VERTEX_STATE_BYTES", need - 1):
+            with pytest.raises(TooLargeError, match=f"^{len(expected)} decode candidates"):
+                _candidates(classes, marked)
 
 
 @given(st.data())

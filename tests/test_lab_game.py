@@ -5,7 +5,7 @@ import pytest
 import numpy as np
 
 from streamcolor.counters import member_collision_mask
-from streamcolor.errors import ImproperOutputError
+from streamcolor.errors import DegreeViolationError, ImproperOutputError
 from streamcolor.graph import Graph, PartialColoring, greedy_extend, validate_proper
 from streamcolor.hashfam import basic_family
 from streamcolor.lab.game import (
@@ -93,7 +93,7 @@ def test_share_validation_vertex_range():
 
 def test_share_validation_degree_promise():
     star = tuple((1, v) for v in range(2, 5))
-    with pytest.raises(ValueError, match="exceeds promised"):
+    with pytest.raises(DegreeViolationError, match="exceeds promised"):
         run_game(DistinctColorsStrategy(), C4_SPEC, (star, ()))
 
 
