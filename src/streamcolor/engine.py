@@ -82,20 +82,20 @@ from .streamio import StreamFile
 
 # bytes of per-vertex state a `color` run holds at its peak, rounded up:
 # the degree and color arrays, the greedy step's CSR form and the
-# coloring's output text, whose per-line strings take about 84 bytes per
-# vertex.  A `color` child on a three-edge stream with n = 2,000,000
-# peaked 216.5 MB above an n = 10 run with --alg iterative (108 bytes per
-# vertex) and 211.6 MB with --alg two-pass or --unknown-delta.
-VERTEX_STATE_BYTES = 110
-# the most per-vertex state a colorer may ask for (2 GiB): n <= 19522578.
+# coloring's output text.  A `color` child on a three-edge stream with
+# n = 2,000,000 peaked 48.4-49.4 bytes per vertex above an n = 10 run
+# with --alg iterative and 43.3-44.3 with --alg two-pass or
+# --unknown-delta.  A dynamic colorer's sketch is not counted here.
+VERTEX_STATE_BYTES = 50
+# the most per-vertex state a colorer may ask for (2 GiB): n <= 42949672.
 # A dynamic colorer's decode candidates are held to the same cap.
 MAX_VERTEX_STATE_BYTES = 1 << 31
 # traced bytes per decode candidate, rounded up: listing the candidates
-# and taking their encodings for `decode` peaked at 65.0 bytes each for
-# one class of 3000 vertices, all marked (4,498,500 candidates, as with
-# every vertex uncolored in the final pass) or a tenth marked, and at
-# 17.0 bytes each for 16 classes of 1250 vertices, all marked
-CANDIDATE_BYTES = 72
+# and taking their encodings for `decode` peaked at 49.0 bytes each for
+# one class of 1000 or 3000 vertices, all marked (as with every vertex
+# uncolored in the final pass) or a tenth marked, and at 17.0 bytes each
+# for 16 classes of 1250 vertices, all marked
+CANDIDATE_BYTES = 56
 
 
 class StreamSource:
@@ -246,7 +246,9 @@ def _candidates(classes: np.ndarray, marked: np.ndarray) -> np.ndarray:
     for start, s, t in zip(starts.tolist(), sizes.tolist(), tops.tolist()):
         members = verts[start : start + s]
         i, j = np.triu_indices(t, 1, s)
-        parts.append(edge_encode_array(members[i], members[j], n))
+        ends = members[i], members[j]
+        del i, j  # so they do not outlive the encoding's temporaries
+        parts.append(edge_encode_array(*ends, n))
     return np.concatenate(parts)
 
 

@@ -10,7 +10,6 @@ ln2 * (bits + 1) / p base edges.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -21,7 +20,7 @@ import numpy as np
 from ..errors import StreamFormatError, TooLargeError, UsageError
 from ..graph import Edge
 from ..prng import splitmix64_next
-from ..streamio import _utf8
+from ..streamio import _lf
 from .distribution import (
     DEFAULT_ENUM_CAP,
     RandomGraphDistribution,
@@ -102,41 +101,40 @@ def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
     lines starting with ``#`` are skipped.
     """
     mapping: dict[int, str] = {}
-    # read as bytes, so text that is not UTF-8 fails with its line
-    # number; StringIO then splits lines as a text-mode file would
-    text = _utf8(Path(path).read_bytes())
-    with io.StringIO(text, newline=None) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: expected '<mask-hex> <summary-bits>'"
-                )
-            try:
-                mask = int(parts[0], 16)
-            except ValueError:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: bad hexadecimal mask {parts[0]!r}"
-                ) from None
-            summary = parts[1]
-            if summary.strip("01"):
-                raise StreamFormatError(
-                    f"{path}:{lineno}: summary must be a 0/1 string"
-                )
-            if bits is None:
-                bits = len(summary)
-            if len(summary) != bits:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: summary width {len(summary)} != {bits}"
-                )
-            if mask in mapping and mapping[mask] != summary:
-                raise StreamFormatError(
-                    f"{path}:{lineno}: conflicting summaries for mask {mask:#x}"
-                )
-            mapping[mask] = summary
+    # lines end at every break a stream or coloring file knows, and text
+    # that is not UTF-8 fails with its line number
+    text = _lf(Path(path).read_bytes()).decode("utf-8", "surrogatepass")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise StreamFormatError(
+                f"{path}:{lineno}: expected '<mask-hex> <summary-bits>'"
+            )
+        try:
+            mask = int(parts[0], 16)
+        except ValueError:
+            raise StreamFormatError(
+                f"{path}:{lineno}: bad hexadecimal mask {parts[0]!r}"
+            ) from None
+        summary = parts[1]
+        if summary.strip("01"):
+            raise StreamFormatError(
+                f"{path}:{lineno}: summary must be a 0/1 string"
+            )
+        if bits is None:
+            bits = len(summary)
+        if len(summary) != bits:
+            raise StreamFormatError(
+                f"{path}:{lineno}: summary width {len(summary)} != {bits}"
+            )
+        if mask in mapping and mapping[mask] != summary:
+            raise StreamFormatError(
+                f"{path}:{lineno}: conflicting summaries for mask {mask:#x}"
+            )
+        mapping[mask] = summary
     if bits is None or not mapping:
         raise StreamFormatError(f"{path}: no scheme entries found")
 

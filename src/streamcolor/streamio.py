@@ -22,40 +22,47 @@ Parsing checks syntax only.  Whether the updates form a legal stream
 in {0, 1}) is the one legality rule, `graph.legal_final_edges`, which
 `color` and `verify` both apply; the CLI exits 2 on any illegal stream.
 
-The parser walks the buffer in blocks of whole lines, about 64 KiB each,
-as views of one numpy array over the bytes.  In each block, lines of the
-form `[+-] <digits> <digits>`, single spaces, at most 18 digits per
-vertex, are decoded in bulk into int64 (sign, u, v), and empty lines and
-lines starting `#` are dropped.  Every other line goes through the
-per-line rule, which gives the same result.  Line numbers and the first
-bulk update (named if the header comes after it) carry over from block
-to block, and each block's updates are written in line order into one
-preallocated int64 table with room for an update per line, so the
-parser's temporaries scale with the block and not with the stream.
+Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
+ascending, one for every vertex 1..n, with the same line breaks, blank
+lines and comments.  Its integers are read by `int()` without a range.
+
+Both formats are read by one table reader, `_table`.  The grammar makes
+a stream's first line that is not blank or a comment its header, so the
+stream parser reads that line first and hands the rest to `_table`.  The
+reader walks the buffer in blocks of whole lines, about 64 KiB each, as
+views of one numpy array over the bytes.  In each block, lines of the
+bulk form (`[+-] <digits> <digits>` for streams, `<digits> <digits>` for
+colorings; single spaces, at most 18 digits per number) are decoded in
+bulk into int64 columns, and empty lines and lines starting `#` are
+dropped.  Every other line goes through the format's per-line rule,
+which gives the same result.  Line numbers carry over from block to
+block, and each block's rows are written in line order into one
+preallocated table with room for a row per line, so the reader's
+temporaries scale with the block and not with the file.
 
 The scan knows LF breaks only, so a buffer with any other break is first
-put in one LF form with the same lines: CRLF becomes LF, and if a CR or
-another break is still left, the lines of `str.splitlines` on the
-original text are joined by LF (the replaced bytes would read
-"a\r\r\nb" as two lines, not three).  An LF buffer is scanned as given.
+put in one LF form with the same lines (`_lf`): CRLF becomes LF, and if
+a CR or another break is still left, the lines of `str.splitlines` on
+the original text are joined by LF (the replaced bytes would read
+"a\\r\\r\\nb" as two lines, not three).  An LF buffer is scanned as given.
 
-Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
-ascending, one for every vertex 1..n.  `dumps_stream` and
+Both formats are written by one writer, `_lines`, which lays out 2^16
+lines at a time in a byte table with numpy; `dumps_stream` and
 `dumps_coloring` emit LF endings so output bytes are platform
-independent.  `dumps_stream` lays its update lines out with numpy, one
-byte table per 2^16 updates.
+independent.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable
 
 import numpy as np
 
 from .errors import StreamFormatError
-from .graph import EdgeUpdate, PartialColoring, UpdateView
+from .graph import PartialColoring, UpdateView
 
 
 @dataclass(frozen=True)
@@ -77,15 +84,19 @@ _ASCII_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 # 18 decimal digits always fit in int64
 _BULK_DIGITS = 18
-# updates per `_lines` buffer, which keeps its temporaries to a few MB
+# lines per `_lines` buffer, which keeps its temporaries to a few MB
 _LINES = 1 << 16
-# bytes per parse block (see `_scan`).  On the n = 2000, delta = 300
+# bytes per parse block (see `_table`).  On the n = 2000, delta = 300
 # benchmark stream (150k updates, 1.6 MB) `read_stream` traced a 6.7 MB
 # peak with 2^16, of which 5.2 MB are the file and the output, against
 # 31.9 MB for one whole-buffer scan; 2^18 peaked at 10.9 MB, and 2^14
 # saved 1.1 MB but took a third longer (2-vCPU x86 VM).
 _BLOCK_BYTES = 1 << 16
 _PLUS, _MINUS, _SPACE, _LF, _ZERO, _HASH = b"+- \n0#"
+# empty LF lines and lines starting `#`, matched in bulk because a stream
+# may hold any number of them before its header; the match takes about
+# 0.15 us a line, against 0.9 us for the per-line check (2-vCPU x86 VM)
+_SKIPPED = re.compile(rb"(?:\n|#[^\n]*\n)*")
 
 
 def _utf8(data: bytes) -> str:
@@ -95,6 +106,21 @@ def _utf8(data: bytes) -> str:
         head = data[: exc.start].decode("utf-8", "surrogatepass")
         lineno = len((head + "x").splitlines())
         raise StreamFormatError(f"line {lineno}: not UTF-8 text") from exc
+
+
+def _lf(data: bytes) -> bytes:
+    """`data`, checked to be UTF-8, with the same lines all ending in LF."""
+    ascii_only = data.isascii()
+    if not ascii_only:
+        _utf8(data)  # names the first line that is not UTF-8
+    # an LF buffer is scanned as given: `in` finds no CR in a 1.6 MB stream
+    # in 0.04 ms, bytes.replace no CRLF in 3.6 ms (2-vCPU x86 VM)
+    lf = data.replace(b"\r\n", b"\n") if b"\r" in data else data
+    other_breaks = _ASCII_BREAKS if ascii_only else _UTF8_BREAKS
+    if b"\r" in lf or any(b in lf for b in other_breaks):
+        text = data.decode("utf-8", "surrogatepass")
+        lf = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
+    return lf
 
 
 def _digits(buf: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -107,33 +133,15 @@ def _digits(buf: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray
     return value
 
 
-def _scan(data: bytes) -> Iterator[tuple[tuple, Iterable[tuple[int, str]]]]:
-    """Decode an LF buffer block by block with `_scan_block`.
-
-    A block holds the whole lines that start in the next _BLOCK_BYTES
-    bytes: it ends right after an LF or at the end of the data, and a
-    longer line is a block of its own.  Blocks are views of one array
-    over `data`.
-    """
-    buf = np.frombuffer(data, dtype=np.uint8)
-    start = before = 0
-    while start < len(data):
-        end = data.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
-        if end <= start:  # no break in the window: the line runs on
-            end = data.find(b"\n", start + _BLOCK_BYTES) + 1 or len(data)
-        bulk, lines, before = _scan_block(buf[start:end], before)
-        yield bulk, lines
-        start = end
-
-
-def _scan_block(buf: np.ndarray, before: int):
+def _scan_block(buf: np.ndarray, before: int, lead: int):
     """Split one block, whose first line is line `before + 1`, into
-    lines and decode the lines `[+-] <digits> <digits>` in bulk.
+    lines and decode the lines `<lead><digits> <digits>` in bulk, where
+    the lead is `+ ` or `- ` if `lead` is 2 and nothing if it is 0.
 
-    Returns their line numbers, int64 (sign, u, v) arrays and the text of
-    the first one; then every other line that is not empty and does not
-    start with `#` as (line number, text); then the number of lines
-    before the next block.
+    Returns their line numbers; their int64 columns (the sign, if `lead`
+    is 2, then both numbers); every other line that is not empty and
+    does not start with `#` as (line number, text); and the number of
+    lines before the next block.
     """
     size = buf.shape[0]
     breaks = np.flatnonzero(buf == _LF)
@@ -142,36 +150,34 @@ def _scan_block(buf: np.ndarray, before: int):
     if starts[-1] == size:  # a final break ends the last line
         starts, ends = starts[:-1], ends[:-1]
 
-    # candidates start with `+ ` or `- ` and hold at least `+ 1 2`
-    cand = np.flatnonzero(ends - starts >= 5)
+    # candidates hold at least `<lead>1 2`, and a lead of 2 is `+ ` or `- `
+    cand = np.flatnonzero(ends - starts >= lead + 3)
     s = starts[cand]
-    keep = ((buf[s] == _PLUS) | (buf[s] == _MINUS)) & (buf[s + 1] == _SPACE)
-    cand, s, e = cand[keep], s[keep], ends[cand[keep]]
+    if lead:
+        keep = ((buf[s] == _PLUS) | (buf[s] == _MINUS)) & (buf[s + 1] == _SPACE)
+        cand, s = cand[keep], s[keep]
+    e = ends[cand]
     # positions of the non-digit bytes inside candidate lines only (so
     # junk or comment lines cost no memory here), then two sentinels.  A
-    # bulk line has its sign at s, a space at s + 1, one space between
-    # the vertices, and no other before its end e.
+    # bulk line has its first digit at s + lead, one space between the
+    # numbers, and no other non-digit before its end e.
     in_cand = np.zeros(starts.shape[0], dtype=bool)
     in_cand[cand] = True
     nondigit = buf - _ZERO > 9
     width = np.diff(starts, append=size)  # each line with its break
     nondigit &= np.repeat(in_cand, width)
     nd = np.concatenate((np.flatnonzero(nondigit), [size, size]))
-    j = np.searchsorted(nd, s)
-    mid = nd[j + 2]
-    ulen = mid - s - 2
+    j = np.searchsorted(nd, s + lead)
+    mid = nd[j]
+    ulen = mid - s - lead
     vlen = e - mid - 1
-    ok = (buf[np.minimum(mid, size - 1)] == _SPACE) & (nd[j + 3] >= e)
+    ok = (buf[np.minimum(mid, size - 1)] == _SPACE) & (nd[j + 1] >= e)
     ok &= (ulen >= 1) & (ulen <= _BULK_DIGITS) & (vlen >= 1) & (vlen <= _BULK_DIGITS)
     bulk_idx = cand[ok]
     s, mid, ulen, vlen = s[ok], mid[ok], ulen[ok], vlen[ok]
-    bulk = (
-        bulk_idx + (before + 1),
-        np.where(buf[s] == _PLUS, 1, -1).astype(np.int64),
-        _digits(buf, s + 2, ulen),
-        _digits(buf, mid + 1, vlen),
-        buf[s[0] : e[ok][0]].tobytes().decode() if s.size else "",
-    )
+    cols = (_digits(buf, s + lead, ulen), _digits(buf, mid + 1, vlen))
+    if lead:
+        cols = (np.where(buf[s] == _PLUS, 1, -1).astype(np.int64), *cols)
 
     # the per-line rule skips empty lines and lines starting `#` anyway
     rest = (ends > starts) & (buf[starts] != _HASH)
@@ -179,7 +185,68 @@ def _scan_block(buf: np.ndarray, before: int):
     # gathered with their LF breaks, the only breaks in the block
     text = buf[np.repeat(rest, width)].tobytes().decode("utf-8", "surrogatepass")
     lines = zip((np.flatnonzero(rest) + (before + 1)).tolist(), text.splitlines())
-    return bulk, lines, before + starts.shape[0]
+    return bulk_idx + (before + 1), cols, lines, before + starts.shape[0]
+
+
+def _cannot_parse(lineno: int, raw: str) -> StreamFormatError:
+    return StreamFormatError(f"line {lineno}: cannot parse {raw!r}")
+
+
+def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.ndarray:
+    """The values of the lines of the LF buffer `lf` from byte `start` on,
+    the first of them line `before + 1`, in line order as one table with
+    a row per field, (sign, u, v) if `lead` is 2 and two numbers if it
+    is 0, and a column per line that gives values.
+
+    Bulk lines are decoded by `_scan_block`.  Every other line that is
+    not blank or a comment goes to `rule(lineno, tokens)`, which returns
+    the line's values or None, or raises; a ValueError names the line as
+    one that cannot be parsed.  The table is int64 until some values do
+    not fit, and Python ints (object dtype) from then on.
+
+    The buffer is walked in blocks of the whole lines that start in the
+    next _BLOCK_BYTES bytes: a block ends right after an LF or at the end
+    of the data, and a longer line is a block of its own.  Blocks are
+    views of one array over `lf`.
+    """
+    buf = np.frombuffer(lf, dtype=np.uint8)
+    # counted in blocks: bytes.count takes 8x as long
+    capacity = 1 + sum(
+        int(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == _LF))
+        for at in range(start, len(lf), _BLOCK_BYTES)
+    )
+    # at most one column per line
+    out = np.empty((3 if lead else 2, capacity), dtype=np.int64)
+    filled = 0
+    while start < len(lf):
+        end = lf.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
+        if end <= start:  # no break in the window: the line runs on
+            end = lf.find(b"\n", start + _BLOCK_BYTES) + 1 or len(lf)
+        linenos, cols, lines, before = _scan_block(buf[start:end], before, lead)
+        start = end
+        rows = []  # (line number, *values) of the per-line rule's lines
+        for lineno, raw in lines:
+            parts = raw.split()
+            if not parts or parts[0].startswith("#"):
+                continue
+            try:
+                values = rule(lineno, parts)
+            except ValueError as exc:
+                raise _cannot_parse(lineno, raw) from exc
+            if values is not None:
+                rows.append((lineno, *values))
+        if rows:  # merge them with the bulk lines in line order
+            try:
+                extra = np.array(rows, dtype=out.dtype)
+            except OverflowError:  # a number past int64
+                out, extra = out.astype(object), np.array(rows, dtype=object)
+            order = np.argsort(np.concatenate((linenos, extra[:, 0])))
+            cols = [np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(cols, 1)]
+        count = cols[0].shape[0]
+        for row, col in zip(out, cols):
+            row[filled : filled + count] = col
+        filled += count
+    return out[:, :filled]
 
 
 def _int64(token: str) -> int:
@@ -191,85 +258,43 @@ def _int64(token: str) -> int:
 
 def _parse(data: bytes) -> StreamFile:
     """The stream parser; see the module docstring for the grammar."""
-    ascii_only = data.isascii()
-    if not ascii_only:
-        _utf8(data)  # names the first line that is not UTF-8
-    # an LF buffer is scanned as given: `in` finds no CR in a 1.6 MB stream
-    # in 0.04 ms, bytes.replace no CRLF in 3.6 ms (2-vCPU x86 VM)
-    lf = data.replace(b"\r\n", b"\n") if b"\r" in data else data
-    other_breaks = _ASCII_BREAKS if ascii_only else _UTF8_BREAKS
-    if b"\r" in lf or any(b in lf for b in other_breaks):
-        text = data.decode("utf-8", "surrogatepass")
-        lf = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
-        del text
-    blocks = _scan(lf)
-    # counted in blocks: bytes.count takes 8x as long
-    buf = np.frombuffer(lf, dtype=np.uint8)
-    capacity = 1 + sum(
-        int(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == _LF))
-        for at in range(0, len(lf), _BLOCK_BYTES)
-    )
-
-    def cannot_parse(lineno: int, raw: str) -> StreamFormatError:
-        return StreamFormatError(f"line {lineno}: cannot parse {raw!r}")
-
-    n: int | None = None
-    delta: int | None = None
-    first_bulk: tuple[int, str] | None = None  # line number and text
-    # (sign, u, v) rows, at most one update per line
-    out = np.empty((3, capacity), dtype=np.int64)
-    filled = 0
-    for (bulk_lineno, signs, us, vs, first_text), lines in blocks:
-        if first_bulk is None and bulk_lineno.size:
-            first_bulk = (int(bulk_lineno[0]), first_text)
-        rows: list[int] = []  # (line number, sign, u, v) of per-line updates
-        for lineno, raw in lines:
-            if n is None and first_bulk is not None and first_bulk[0] < lineno:
-                raise cannot_parse(*first_bulk)
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "n":
-                    if n is not None or len(parts) != 2:
-                        raise ValueError
-                    n = _int64(parts[1])
-                elif parts[0] == "delta":
-                    if delta is not None or n is None or len(parts) != 2:
-                        raise ValueError
-                    delta = _int64(parts[1])
-                elif parts[0] in ("+", "-"):
-                    if n is None or len(parts) != 3:
-                        raise ValueError
-                    u, v = int(parts[1]), int(parts[2])
-                    if u not in _INT64 or v not in _INT64:
-                        raise ValueError
-                    rows += (lineno, 1 if parts[0] == "+" else -1, u, v)
-                else:
-                    raise ValueError
-            except ValueError as exc:
-                raise cannot_parse(lineno, raw) from exc
-        if n is None and first_bulk is not None:  # the header comes too late
-            raise cannot_parse(*first_bulk)
-        fields = (signs, us, vs)
-        if rows:  # merge the block's per-line updates into line order
-            extra = np.array(rows, dtype=np.int64).reshape(-1, 4)
-            order = np.argsort(np.concatenate((bulk_lineno, extra[:, 0])))
-            fields = tuple(
-                np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(fields, 1)
-            )
-        count = fields[0].shape[0]
-        for row, col in zip(out, fields):
-            row[filled : filled + count] = col
-        filled += count
-    if n is None:
+    lf = _lf(data)
+    # the first line that is not blank or a comment is the header
+    start = _SKIPPED.match(lf).end()
+    lineno = lf.count(b"\n", 0, start)
+    while start < len(lf):
+        end = lf.find(b"\n", start) + 1 or len(lf) + 1
+        raw = lf[start : end - 1].decode("utf-8", "surrogatepass")
+        start, lineno = end, lineno + 1
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            break
+    else:
         raise StreamFormatError("missing `n <N>` header")
+    try:
+        if parts[0] != "n" or len(parts) != 2:
+            raise ValueError
+        n = _int64(parts[1])
+    except ValueError as exc:
+        raise _cannot_parse(lineno, raw) from exc
+
+    delta: int | None = None
+
+    def update(lineno: int, parts: list[str]) -> tuple[int, int, int] | None:
+        nonlocal delta
+        if parts[0] == "delta" and delta is None and len(parts) == 2:
+            delta = _int64(parts[1])
+            return None
+        if parts[0] not in ("+", "-") or len(parts) != 3:
+            raise ValueError
+        return 1 if parts[0] == "+" else -1, _int64(parts[1]), _int64(parts[2])
+
+    signs, us, vs = _table(lf, start, lineno, 2, update)
     if n < 0:
         raise StreamFormatError("n must be nonnegative")
     if delta is not None and delta < 0:
         raise StreamFormatError("delta must be nonnegative")
-    return StreamFile(n, delta, UpdateView(*out[:, :filled]))
+    return StreamFile(n, delta, UpdateView(signs, us, vs))
 
 
 def loads_stream(text: str) -> StreamFile:
@@ -281,18 +306,19 @@ def dumps_stream(n: int, updates, delta: int | None = None) -> str:
     text = [f"n {n}\n", "" if delta is None else f"delta {delta}\n"]
     for at in range(0, len(view), _LINES):
         part = slice(at, at + _LINES)
-        text.append(_lines(view.signs[part], view.us[part], view.vs[part]))
+        text.append(_lines(view.us[part], view.vs[part], view.signs[part]))
     return "".join(text)
 
 
-def _lines(signs: np.ndarray, us: np.ndarray, vs: np.ndarray) -> str:
-    """One `<+|-> <u> <v>` line with LF per update, laid out in one byte
-    table with a row per update; 0 bytes pad the vertex columns."""
-    sign = np.where(signs == 1, _PLUS, _MINUS).astype(np.uint8)[:, None]
-    space = np.full_like(sign, _SPACE)
-    table = np.concatenate(
-        (sign, space, _decimal(us), space, _decimal(vs), np.full_like(sign, _LF)), axis=1
-    ).ravel()
+def _lines(us: np.ndarray, vs: np.ndarray, signs: np.ndarray | None = None) -> str:
+    """One `<u> <v>` line with LF per entry, after a `+ ` or `- ` column
+    when `signs` is given, laid out in one byte table with a row per
+    line; 0 bytes pad the number columns."""
+    space = np.full((us.shape[0], 1), _SPACE, dtype=np.uint8)
+    cols = (_decimal(us), space, _decimal(vs), np.full_like(space, _LF))
+    if signs is not None:
+        cols = (np.where(signs == 1, _PLUS, _MINUS).astype(np.uint8)[:, None], space, *cols)
+    table = np.concatenate(cols, axis=1).ravel()
     return table[table != 0].tobytes().decode("ascii")
 
 
@@ -318,39 +344,42 @@ def read_stream(path: str | Path) -> StreamFile:
     return _parse(Path(path).read_bytes())
 
 
+def _vertex_color(lineno: int, parts: list[str]) -> tuple[int, int]:
+    if len(parts) != 2:
+        raise StreamFormatError(f"line {lineno}: expected `<vertex> <color>`")
+    return int(parts[0]), int(parts[1])
+
+
 def loads_coloring(text: str) -> PartialColoring:
     """Parse a coloring file; palette is the largest color present."""
-    rows: list[tuple[int, int]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise StreamFormatError(f"line {lineno}: expected `<vertex> <color>`")
-        try:
-            rows.append((int(parts[0]), int(parts[1])))
-        except ValueError as exc:
-            raise StreamFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
-    if not rows:
+    vertices, colors = _table(_lf(text.encode("utf-8", "surrogatepass")), 0, 0, 0, _vertex_color)
+    n = colors.shape[0]
+    if not n:
         raise StreamFormatError("empty coloring file")
-    n = len(rows)
-    colors: list[int] = []
-    for expected, (v, c) in enumerate(rows, start=1):
-        if v != expected:
+    # the first row out of order or with a color below 1
+    bad = vertices != np.arange(1, n + 1)
+    bad |= colors < 1
+    at = int(np.argmax(bad))
+    if bad[at]:
+        v, c = int(vertices[at]), int(colors[at])
+        if v != at + 1:
             raise StreamFormatError(
-                f"vertex lines must be 1..{n} ascending; saw {v} at position {expected}"
+                f"vertex lines must be 1..{n} ascending; saw {v} at position {at + 1}"
             )
-        if c < 1:
-            raise StreamFormatError(f"vertex {v}: color {c} is not positive")
-        colors.append(c)
-    return PartialColoring(n, max(colors), colors)
+        raise StreamFormatError(f"vertex {v}: color {c} is not positive")
+    return PartialColoring(n, int(colors.max()), np.concatenate(([0], colors)))
 
 
 def dumps_coloring(coloring: PartialColoring) -> str:
     coloring.require_total()
-    cols = coloring.array.tolist()
-    return "\n".join(f"{v} {cols[v]}" for v in range(1, coloring.n + 1)) + "\n"
+    colors = coloring.array
+    if colors.dtype == object:  # colors past int64 stay Python ints
+        return "".join(f"{v} {c}\n" for v, c in enumerate(colors.tolist()[1:], 1))
+    n = coloring.n
+    return "".join(
+        _lines(np.arange(at, min(at + _LINES, n + 1)), colors[at : at + _LINES])
+        for at in range(1, n + 1, _LINES)
+    )
 
 
 def read_coloring(path: str | Path) -> PartialColoring:

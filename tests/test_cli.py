@@ -457,6 +457,25 @@ def test_lb_compress_non_utf8_scheme_exits_two(tmp_path, capsys):
     assert (code, err) == (2, "error: line 2: not UTF-8 text\n")
 
 
+def test_every_file_kind_breaks_lines_alike(tmp_path, capsys):
+    # a VT ends a line in stream, coloring and scheme files alike
+    stream = tmp_path / "vt.stream"
+    stream.write_bytes(b"n 3\x0b+ 1 2\n+ 2 3\n")
+    coloring = tmp_path / "vt.coloring"
+    coloring.write_bytes(b"1 1\x0b2 2\n3 1\n")
+    assert run(capsys, "color", "--in", str(stream), "--unknown-delta", "--quiet")[0] == 0
+    code, _, err = run(capsys, "verify", "--in", str(stream), "--coloring", str(coloring))
+    assert (code, err) == (0, "")
+    lb = ["lb-compress", "--base", str(stream), "--p", "1/2", "--d", "4", "--s", "1"]
+    scheme = tmp_path / "lf.scheme"
+    scheme.write_bytes(b"0 0\n1 1\n2 0\n3 1\n")
+    expected = run(capsys, *lb, "--scheme", f"file:{scheme}")
+    assert expected[0] == 0
+    scheme = tmp_path / "vt.scheme"
+    scheme.write_bytes(b"0 0\x0b1 1\n2 0\n3 1\n")
+    assert run(capsys, *lb, "--scheme", f"file:{scheme}") == expected
+
+
 def test_lb_compress_on_an_empty_vertex_set_exits_two(tmp_path, capsys):
     stream = tmp_path / "empty.txt"
     stream.write_text("n 0\n")

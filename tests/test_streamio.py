@@ -444,3 +444,136 @@ def test_updates_view_is_sized_and_indexed():
     assert sf.updates[2] == EdgeUpdate(-1, 1, 2)
     assert sf.updates.signs.dtype == np.int64
     assert not sf.updates.us.flags.writeable
+
+
+def _loads_coloring_per_line(text: str) -> PartialColoring:
+    """The per-line coloring reader as it stood before the table reader,
+    kept as the oracle for `loads_coloring`."""
+    rows: list[tuple[int, int]] = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise StreamFormatError(f"line {lineno}: expected `<vertex> <color>`")
+        try:
+            rows.append((int(parts[0]), int(parts[1])))
+        except ValueError as exc:
+            raise StreamFormatError(f"line {lineno}: cannot parse {raw!r}") from exc
+    if not rows:
+        raise StreamFormatError("empty coloring file")
+    n = len(rows)
+    colors: list[int] = []
+    for expected, (v, c) in enumerate(rows, start=1):
+        if v != expected:
+            raise StreamFormatError(
+                f"vertex lines must be 1..{n} ascending; saw {v} at position {expected}"
+            )
+        if c < 1:
+            raise StreamFormatError(f"vertex {v}: color {c} is not positive")
+        colors.append(c)
+    return PartialColoring(n, max(colors), colors)
+
+
+# colors in int64 with up to 18 digits (the bulk form), with 19 digits,
+# and past int64
+_color = st.one_of(
+    st.integers(min_value=1, max_value=12),
+    st.integers(min_value=1, max_value=(1 << 63) - 1),
+    st.integers(min_value=1 << 63, max_value=10**25),
+)
+_color_token = st.one_of(
+    st.integers(min_value=-3, max_value=12).map(str),
+    _color.map(str),
+    st.integers(min_value=-(10**25), max_value=-1).map(str),
+    st.sampled_from(["007", "+4", "-2", "1_0", "٣", "१२", "x", "", "#", "0"]),
+)
+_coloring_line = st.one_of(
+    st.tuples(_color_token, _color_token).map(" ".join),
+    st.lists(_color_token, max_size=3).map(" ".join),
+    st.sampled_from(["", "   ", "# note", "\t# tab note", "1\t2", " 1 1 ", "1  1", "11", "1 1 1"]),
+    st.text(max_size=6),
+)
+_coloring_break = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x85", " "])
+
+
+@st.composite
+def _coloring_texts(draw):
+    # mostly a well-formed file, with a few lines padded, moved, dropped
+    # or put in between
+    lines = [f"{v} {c}" for v, c in enumerate(draw(st.lists(_color, max_size=12)), 1)]
+    for _ in range(draw(st.integers(0, 2))):
+        edit = draw(st.sampled_from(["pad", "insert", "drop", "move"]))
+        at = draw(st.integers(0, max(len(lines) - 1, 0)))
+        if edit == "insert" or not lines:
+            lines.insert(at, draw(_coloring_line))
+        elif edit == "pad":
+            pad = st.sampled_from(["", " ", "\t", "  \t"])
+            lines[at] = draw(pad) + lines[at].replace(" ", draw(pad) + " ") + draw(pad)
+        elif edit == "drop":
+            del lines[at]
+        else:
+            lines.insert(draw(st.integers(0, len(lines) - 1)), lines.pop(at))
+    breaks = draw(st.lists(_coloring_break, min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):  # mostly plain LF, which takes the bulk scan
+        breaks = ["\n"] * len(lines)
+    text = "".join(a + b for a, b in zip(lines, breaks))
+    return text if draw(st.booleans()) else text.rstrip("\n")
+
+
+def _read_coloring(loads, text):
+    """(n, palette, colors) that `loads` reads from `text`, or the message
+    of its error; the palette must be a Python int."""
+    try:
+        c = loads(text)
+    except StreamFormatError as exc:
+        return str(exc)
+    assert type(c.palette) is int
+    return c.n, c.palette, c.colors()
+
+
+_COLORING_EXAMPLES = [
+    "1 1\r\n2 2\r\n3 1\r\n",
+    "1 1\x0b2 2\n3 1\n",
+    "# c\n\n\t1\t3 \n2 +4\n3 1_0\n4 ٣\n",
+    "1 99999999999999999999\n2 1\n",
+    "1 1\n2 -99999999999999999999\n",
+    "99999999999999999999 1\n",
+    "1 1000000000000000000\n2 999999999999999999\n",
+    "1 1\n3 2\n",
+    "2 1\n1 2\n",
+    "1 0\n2 0\n",
+    "1 1\n2 2 2\n",
+]
+
+
+@pytest.mark.parametrize("block", [None, *_TINY_BLOCKS])
+@given(text=_coloring_texts())
+@settings(max_examples=300, deadline=None)
+def test_coloring_reader_matches_per_line_oracle(block, text):
+    expected = _read_coloring(_loads_coloring_per_line, text)
+    with _tiny(block) if block else contextlib.nullcontext():
+        assert _read_coloring(loads_coloring, text) == expected
+
+
+@pytest.mark.parametrize("block", [None, *_TINY_BLOCKS])
+@pytest.mark.parametrize("text", _COLORING_EXAMPLES)
+def test_coloring_examples_read_as_the_oracle_reads_them(block, text):
+    expected = _read_coloring(_loads_coloring_per_line, text)
+    with _tiny(block) if block else contextlib.nullcontext():
+        assert _read_coloring(loads_coloring, text) == expected
+
+
+@given(st.lists(_color, min_size=1, max_size=30))
+@example([1, (1 << 63) - 1, 10**18])
+@example([1 << 63, 1])
+@settings(max_examples=80)
+def test_dumps_coloring_matches_per_line_format(colors):
+    # reference: one f-string per line; int64 colors and colors past it
+    c = PartialColoring(len(colors), max(colors), colors)
+    text = "".join(f"{v} {color}\n" for v, color in enumerate(colors, 1))
+    for lines in (streamio._LINES, 1, 7):  # 2^16 lines per byte table, or a few
+        with mock.patch.object(streamio, "_LINES", lines):
+            assert dumps_coloring(c) == text
+    assert loads_coloring(text) == c
