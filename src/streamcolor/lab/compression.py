@@ -102,7 +102,8 @@ def scheme_from_file(path, *, bits: int | None = None) -> CompressionScheme:
     """
     mapping: dict[int, str] = {}
     # lines end at every break a stream or coloring file knows, and text
-    # that is not UTF-8 fails with its line number
+    # that is not UTF-8 fails with its line number; `_lf` passes encoded
+    # surrogates, as stream files do, so the decode must pass them too
     text = _lf(Path(path).read_bytes()).decode("utf-8", "surrogatepass")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()

@@ -54,7 +54,6 @@ independent.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -93,10 +92,6 @@ _LINES = 1 << 16
 # saved 1.1 MB but took a third longer (2-vCPU x86 VM).
 _BLOCK_BYTES = 1 << 16
 _PLUS, _MINUS, _SPACE, _LF, _ZERO, _HASH = b"+- \n0#"
-# empty LF lines and lines starting `#`, matched in bulk because a stream
-# may hold any number of them before its header; the match takes about
-# 0.15 us a line, against 0.9 us for the per-line check (2-vCPU x86 VM)
-_SKIPPED = re.compile(rb"(?:\n|#[^\n]*\n)*")
 
 
 def _utf8(data: bytes) -> str:
@@ -260,8 +255,7 @@ def _parse(data: bytes) -> StreamFile:
     """The stream parser; see the module docstring for the grammar."""
     lf = _lf(data)
     # the first line that is not blank or a comment is the header
-    start = _SKIPPED.match(lf).end()
-    lineno = lf.count(b"\n", 0, start)
+    start = lineno = 0
     while start < len(lf):
         end = lf.find(b"\n", start) + 1 or len(lf) + 1
         raw = lf[start : end - 1].decode("utf-8", "surrogatepass")

@@ -232,6 +232,13 @@ def test_scheme_from_file_roundtrip(tmp_path):
         scheme.apply(5)  # no entry
 
 
+def test_scheme_file_reads_encoded_surrogates_as_stream_files_do(tmp_path):
+    # the stream reader accepts a UTF-8-encoded lone surrogate in a comment
+    path = tmp_path / "surrogate.txt"
+    path.write_bytes(b"# \xed\xa0\x80\n0 0\n1 1\n")
+    assert scheme_from_file(path).apply(1) == "1"
+
+
 def test_scheme_from_file_errors(tmp_path):
     bad_parts = tmp_path / "a.txt"
     bad_parts.write_text("0 01 extra\n")
