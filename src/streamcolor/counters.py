@@ -16,9 +16,15 @@ O(m * p / k).  The second progression is its mirror.  Members a and
 p - a (a >= 1) color every pair alike or unlike together (see hashfam),
 and member a meets the second condition exactly when p - a meets the
 first, so member a >= 1 gets the sweep's counts at a and at p - a.
-Edges with one assigned endpoint of color c admit only members with
-a * w mod p congruent to c - 1 mod k, again ~p/k candidates.  Edges with
-both endpoints assigned hit every member or none.
+
+An edge with one free end f and the other fixed to color c is one more
+column of the same sweep, (u, v) = (f, 0) with a start r = (c - 1) *
+f^-1 mod p added to each a.  Then a * f = c - 1 + D (mod p), and the
+hit test a * f mod p >= D passes exactly when c - 1 + D < p, with no
+wrap, so the sweep counts once each member that gives f color c.  Its
+counts are not mirrored.  No member gives a color above k, so a fixed end with such a
+color never hits.  Edges with both endpoints assigned hit every member or
+none, and with a palette of 1 every other edge hits every member.
 
 The counts are linear in the updates, so a batch with deletions is
 counted as two unsigned batches, its insertions and its deletions, and
@@ -70,19 +76,21 @@ def _modinv_table(p: int, upto: int) -> np.ndarray:
     return inv
 
 
-def _accumulate_free_pairs(
+def _sweep(
     counts: np.ndarray,
     p: int,
     k: int,
     inv: np.ndarray,
     us: np.ndarray,
     vs: np.ndarray,
+    colors: np.ndarray | None = None,
 ) -> None:
-    """Edges with both endpoints uncolored."""
+    """Add to `counts` the sweep's hits on the columns (us, vs): for each
+    D = 0, k, 2k, ... < p, member a = D * (u - v)^-1 + r mod p counts when
+    a * u mod p >= D.  The start r is 0 for a free pair; a mixed column
+    (f, 0) has r = (c - 1) * f^-1 mod p for its fixed end's color c in
+    `colors`."""
     if us.size == 0:
-        return
-    if k == 1:
-        counts += us.size
         return
     dtype = np.int32 if p * p < 1 << 31 else np.int64
     dvals = np.arange(0, p, k, dtype=dtype)
@@ -91,15 +99,19 @@ def _accumulate_free_pairs(
     size = width * min(max(1, _CHUNK_ELEMS // width), dvals.size)
     a_buf, q_buf, x_buf = (np.empty(size, dtype=dtype) for _ in range(3))
     hit_buf = np.empty(size, dtype=bool)
-    half = np.zeros(p, dtype=np.int64)
     for c0 in range(0, m, width):
         w = min(width, m - c0)
-        # (u - v)^-1 mod p and u for this block of columns
+        # (u - v)^-1 mod p, the start and u for this block of columns
         ucol = us[c0 : c0 + w]
         diff = ucol - vs[c0 : c0 + w]
         wcol = inv[np.abs(diff)]
         wcol = np.where(diff > 0, wcol, (p - wcol) % p).astype(dtype)
         ucol = ucol.astype(dtype)
+        if colors is not None:
+            # (c - 1) * wcol < k * p <= p^2 fits the dtype
+            rcol = colors[c0 : c0 + w].astype(dtype) - 1
+            rcol *= wcol
+            rcol %= p
         rows = max(1, _CHUNK_ELEMS // w)
         for r0 in range(0, dvals.size, rows):
             d = dvals[r0 : r0 + rows, None]
@@ -107,8 +119,10 @@ def _accumulate_free_pairs(
             a, q, x, hit = (
                 buf[:cells].reshape(d.size, w) for buf in (a_buf, q_buf, x_buf, hit_buf)
             )
-            # a = d * wcol mod p
+            # a = d * wcol + r mod p; the sum is below p^2
             np.multiply(d, wcol, out=a)
+            if colors is not None:
+                a += rcol
             np.floor_divide(a, p, out=q)
             q *= p
             a -= q
@@ -118,36 +132,9 @@ def _accumulate_free_pairs(
             x *= p
             q -= x
             np.greater_equal(q, d, out=hit)
-            # about half of the mask is set, at random; on such a mask
-            # np.compress gathers 4x faster than a[hit]
-            half += np.bincount(np.compress(hit.ravel(), a.ravel()), minlength=p)
-    counts += half
-    if p % k != 0:
-        # member a >= 1 also hits where member p - a did
-        counts[1:] += half[:0:-1]
-
-
-def _accumulate_mixed_pairs(
-    counts: np.ndarray,
-    p: int,
-    k: int,
-    inv: np.ndarray,
-    free: np.ndarray,
-    colors: np.ndarray,
-) -> None:
-    """Edges with exactly one uncolored endpoint (`free`), the other fixed
-    to `colors`.  Member a hits iff a * free mod p == colors - 1 (mod k)."""
-    if free.size == 0:
-        return
-    winv = inv[free]
-    cm1 = colors - 1
-    for j in range((p - 1) // k + 1):
-        x = cm1 + j * k
-        valid = x < p
-        if not valid.any():
-            break
-        a = x[valid] * winv[valid] % p
-        counts += np.bincount(a, minlength=p)
+            # about half of a free pair's mask is set, at random; on such a
+            # mask np.compress gathers 4x faster than a[hit]
+            counts += np.bincount(np.compress(hit.ravel(), a.ravel()), minlength=p)
 
 
 def collision_index_counts(
@@ -172,24 +159,32 @@ def collision_index_counts(
     # colors are below p, so a palette above p acts as p
     p, k = family.p, min(family.palette, family.p)
     counts = np.zeros(p, dtype=np.int64)
-    inv = _modinv_table(p, family.n)
-    if base_colors is not None and not base_colors.any():
-        base_colors = None  # a base with no assigned vertex is no base
-    if base_colors is None:
-        _accumulate_free_pairs(counts, p, k, inv, us, vs)
+    # with no base, or one with no assigned vertex, every edge is free
+    neither, free, fixed = slice(None), us[:0], us[:0]
+    if base_colors is not None and base_colors.any():
+        cu = base_colors[us]
+        cv = base_colors[vs]
+        # fully assigned edges hit every member or none
+        counts += np.count_nonzero((cu == cv) & (cu > 0))
+        neither = (cu == 0) & (cv == 0)
+        # one end free, the other fixed to a color some member gives
+        mixed = ((cu == 0) != (cv == 0)) & (cu <= k) & (cv <= k)
+        free = np.where(cu[mixed] == 0, us[mixed], vs[mixed])
+        fixed = cu[mixed] + cv[mixed]
+        del cu, cv, mixed  # the sweeps run without the m-sized gathers
+    if k == 1:
+        # every member colors every free vertex 1
+        counts += us[neither].size + free.size
         return counts
-
-    cu = base_colors[us]
-    cv = base_colors[vs]
-    both = (cu > 0) & (cv > 0)
-    # fully assigned edges hit every member or none
-    counts += np.count_nonzero(both & (cu == cv))
-    neither = (cu == 0) & (cv == 0)
-    _accumulate_free_pairs(counts, p, k, inv, us[neither], vs[neither])
-    mixed = ~both & ~neither
-    free = np.where(cu[mixed] == 0, us[mixed], vs[mixed])
-    fixed_color = np.maximum(cu[mixed], cv[mixed])
-    _accumulate_mixed_pairs(counts, p, k, inv, free, fixed_color)
+    inv = _modinv_table(p, family.n)
+    half = np.zeros(p, dtype=np.int64)
+    _sweep(half, p, k, inv, us[neither], vs[neither])
+    counts += half
+    if p % k != 0:
+        # member a >= 1 also hits where member p - a did
+        counts[1:] += half[:0:-1]
+    # a mixed pair is the column (f, 0) with its start
+    _sweep(counts, p, k, inv, free, np.broadcast_to(0, free.shape), fixed)
     return counts
 
 
@@ -218,19 +213,14 @@ def member_collision_mask(
 
 @dataclass(frozen=True)
 class CounterBank:
-    """Counter vector over one family, optionally over a base coloring.
-
-    `base` is the base coloring's read-only vertex-indexed array, or None.
-    """
+    """Counter vector over one family, counted over a base coloring or none."""
 
     family: ColoringFamily
-    base: np.ndarray | None
     counts: np.ndarray
 
     @classmethod
-    def empty(cls, family: ColoringFamily, base: PartialColoring | None = None):
-        base_arr = None if base is None else base.array
-        return cls(family, base_arr, np.zeros(family.p, dtype=np.int64))
+    def empty(cls, family: ColoringFamily):
+        return cls(family, np.zeros(family.p, dtype=np.int64))
 
     @classmethod
     def from_arrays(
@@ -246,7 +236,7 @@ class CounterBank:
         if (counts < 0).any():
             member = int(np.argmax(counts < 0))
             raise NegativeCounterError(f"counter for member {member} went negative")
-        return cls(family, base_arr, counts)
+        return cls(family, counts)
 
     def entry_count(self) -> int:
         return int(self.counts.shape[0])

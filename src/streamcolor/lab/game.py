@@ -358,7 +358,7 @@ class CounterPassAlgorithm(OnePassAlgorithm):
         us, vs = edges.reshape(-1, 2).T
         ones = np.ones(us.size, dtype=np.int64)
         batch = CounterBank.from_arrays(state.family, None, us, vs, ones)
-        return CounterBank(state.family, None, state.counts + batch.counts)
+        return CounterBank(state.family, state.counts + batch.counts)
 
     def encode(self, state):
         counts = " ".join(str(int(c)) for c in state.counts)

@@ -13,6 +13,11 @@ finds that recurrence (Berlekamp-Massey), extracts the roots, and then
 re-verifies every syndrome; any mismatch raises RecoveryFailedError
 rather than returning an unverified answer.
 
+q is proven prime while it is below psi_13 = 3317044064679887385961981,
+where `is_prime` is exact: up to n = 1,908,547
+(q = 3317042156941750605711571).  From n = 1,908,548 on
+(q = 3317049108922776865694911) q is a strong probable prime.
+
 Field arithmetic runs on int64 arrays for every q < 2^61, i.e. for
 n <= 55109; larger universes use arrays of Python ints (see _Fq).
 """

@@ -344,9 +344,9 @@ def _vertex_color(lineno: int, parts: list[str]) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def loads_coloring(text: str) -> PartialColoring:
-    """Parse a coloring file; palette is the largest color present."""
-    vertices, colors = _table(_lf(text.encode("utf-8", "surrogatepass")), 0, 0, 0, _vertex_color)
+def _coloring(data: bytes) -> PartialColoring:
+    """The coloring parser; palette is the largest color present."""
+    vertices, colors = _table(_lf(data), 0, 0, 0, _vertex_color)
     n = colors.shape[0]
     if not n:
         raise StreamFormatError("empty coloring file")
@@ -364,6 +364,10 @@ def loads_coloring(text: str) -> PartialColoring:
     return PartialColoring(n, int(colors.max()), np.concatenate(([0], colors)))
 
 
+def loads_coloring(text: str) -> PartialColoring:
+    return _coloring(text.encode("utf-8", "surrogatepass"))
+
+
 def dumps_coloring(coloring: PartialColoring) -> str:
     coloring.require_total()
     colors = coloring.array
@@ -377,4 +381,4 @@ def dumps_coloring(coloring: PartialColoring) -> str:
 
 
 def read_coloring(path: str | Path) -> PartialColoring:
-    return loads_coloring(_utf8(Path(path).read_bytes()))
+    return _coloring(Path(path).read_bytes())

@@ -47,22 +47,27 @@ def random_case(draw, max_n=24, max_palette=9):
     with_base = draw(st.booleans())
     base = None
     if with_base:
+        # 0 is unassigned; colors above the palette, some of them above p,
+        # are ones no member gives
         cols = draw(
             st.lists(
-                st.one_of(st.none(), st.integers(min_value=1, max_value=palette)),
+                st.one_of(
+                    st.just(0),
+                    st.integers(min_value=1, max_value=palette),
+                    st.integers(min_value=1, max_value=max(palette, fam.p) + 2),
+                ),
                 min_size=n,
                 max_size=n,
             )
         )
-        base = PartialColoring(n, palette, cols)
+        base = np.array([0, *cols], dtype=np.int64)
     return fam, base
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_mask_matches_literal_evaluation(data):
-    fam, base = random_case(data.draw)
-    base_arr = None if base is None else base.array
+    fam, base_arr = random_case(data.draw)
     u = data.draw(st.integers(min_value=1, max_value=fam.n - 1))
     v = data.draw(st.integers(min_value=u + 1, max_value=fam.n))
     got = member_collision_mask(fam, base_arr, u, v)
@@ -83,7 +88,7 @@ def kernel_batches(draw):
         if draw(st.booleans()):
             edges.append(e)
             sign_list.append(-1)
-    return fam, None if base is None else base.array, edges, sign_list
+    return fam, base, edges, sign_list
 
 
 # all-zero bases, which the kernel takes as no base: insert-only, then
@@ -101,6 +106,8 @@ _ZERO_BASE_EDGES = [(1, 2), (2, 5), (3, 9), (4, 7), (1, 8)]
         [1] * 5 + [-1, -1],
     )
 )
+# vertex 2 fixed to color 5, which no member of palette 3 gives
+@example((ColoringFamily(10, 3), np.array([0, 0, 5] + [0] * 8), [(1, 2)], [1]))
 @settings(max_examples=120, deadline=None)
 def test_batched_kernel_matches_mask_oracle(case):
     fam, base_arr, edges, sign_list = case
@@ -240,14 +247,14 @@ def test_from_arrays_rejects_net_negative():
 
 def test_argmin_tie_breaks_to_smallest_index():
     fam = basic_family(2, 1)  # p = 3, three members
-    bank = CounterBank(fam, None, np.array([5, 3, 3], dtype=np.int64))
+    bank = CounterBank(fam, np.array([5, 3, 3], dtype=np.int64))
     assert argmin_counter(bank) == 1
-    bank = CounterBank(fam, None, np.array([2, 2, 2], dtype=np.int64))
+    bank = CounterBank(fam, np.array([2, 2, 2], dtype=np.int64))
     assert argmin_counter(bank) == 0
 
 
 def test_argmin_single_counter():
     fam = basic_family(1, 1)  # p = 2
-    bank = CounterBank(fam, None, np.array([4, 9], dtype=np.int64))
+    bank = CounterBank(fam, np.array([4, 9], dtype=np.int64))
     assert argmin_counter(bank) == 0
     assert bank.entry_count() == 2
