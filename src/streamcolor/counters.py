@@ -35,7 +35,10 @@ all zero, sweeps the edge arrays as given and builds no endpoint colors
 or masks.
 
 The sweep reduces every product in preallocated blocks, as
-t - (t // p) * p, on int32 while p^2 < 2^31 and on int64 above.
+t - (t // p) * p, on int32 while p^2 < 2^31 and on int64 above.  The
+edge arrays are read in the dtype they are held in, int32 or int64, and
+a base's endpoint colors and masks are formed one block of edges at a
+time, so no temporary grows with the batch beyond the edges it selects.
 """
 
 from __future__ import annotations
@@ -89,10 +92,10 @@ def _sweep(
     D = 0, k, 2k, ... < p, member a = D * (u - v)^-1 + r mod p counts when
     a * u mod p >= D.  The start r is 0 for a free pair; a mixed column
     (f, 0) has r = (c - 1) * f^-1 mod p for its fixed end's color c in
-    `colors`."""
+    `colors`.  The sweep runs in the dtype of `inv`, the inverse table."""
     if us.size == 0:
         return
-    dtype = np.int32 if p * p < 1 << 31 else np.int64
+    dtype = inv.dtype
     dvals = np.arange(0, p, k, dtype=dtype)
     m = us.size
     width = min(m, _CHUNK_ELEMS)
@@ -105,7 +108,7 @@ def _sweep(
         ucol = us[c0 : c0 + w]
         diff = ucol - vs[c0 : c0 + w]
         wcol = inv[np.abs(diff)]
-        wcol = np.where(diff > 0, wcol, (p - wcol) % p).astype(dtype)
+        wcol = np.where(diff > 0, wcol, (p - wcol) % p)
         ucol = ucol.astype(dtype)
         if colors is not None:
             # (c - 1) * wcol < k * p <= p^2 fits the dtype
@@ -145,40 +148,55 @@ def collision_index_counts(
     signs: np.ndarray,
 ) -> np.ndarray:
     """Signed monochromatic-edge count per member for a batch of edges
-    with signs +1 and -1."""
-    us = np.asarray(us, dtype=np.int64)
-    vs = np.asarray(vs, dtype=np.int64)
-    insert = np.asarray(signs) > 0
-    if not insert.all():
-        # the insertions' counts less the deletions', each an unsigned batch
-        delete = ~insert
-        ones = np.ones(us.size, dtype=np.int64)
-        return collision_index_counts(
-            family, base_colors, us[insert], vs[insert], ones[insert]
-        ) - collision_index_counts(family, base_colors, us[delete], vs[delete], ones[delete])
+    with signs +1 and -1, read in the dtype their arrays have."""
+    us, vs, insert = np.asarray(us), np.asarray(vs), np.asarray(signs) > 0
+    if insert.all():
+        return _unsigned_counts(family, base_colors, us, vs)
+    # the insertions' counts less the deletions', each an unsigned batch
+    delete = ~insert
+    return _unsigned_counts(family, base_colors, us[insert], vs[insert]) - _unsigned_counts(
+        family, base_colors, us[delete], vs[delete]
+    )
+
+
+def _unsigned_counts(
+    family: ColoringFamily, base_colors: np.ndarray | None, us: np.ndarray, vs: np.ndarray
+) -> np.ndarray:
+    """Monochromatic-edge count per member for a batch of insertions."""
     # colors are below p, so a palette above p acts as p
     p, k = family.p, min(family.palette, family.p)
     counts = np.zeros(p, dtype=np.int64)
     # with no base, or one with no assigned vertex, every edge is free
-    neither, free, fixed = slice(None), us[:0], us[:0]
+    pairs_u, pairs_v, free, fixed = us, vs, us[:0], us[:0]
     if base_colors is not None and base_colors.any():
-        cu = base_colors[us]
-        cv = base_colors[vs]
-        # fully assigned edges hit every member or none
-        counts += np.count_nonzero((cu == cv) & (cu > 0))
-        neither = (cu == 0) & (cv == 0)
-        # one end free, the other fixed to a color some member gives
-        mixed = ((cu == 0) != (cv == 0)) & (cu <= k) & (cv <= k)
-        free = np.where(cu[mixed] == 0, us[mixed], vs[mixed])
-        fixed = cu[mixed] + cv[mixed]
-        del cu, cv, mixed  # the sweeps run without the m-sized gathers
+        # the free pairs' ends, the mixed pairs' free ends and fixed colors
+        parts = ([us[:0]], [vs[:0]], [us[:0]], [base_colors[:0]])
+        for at in range(0, us.size, _CHUNK_ELEMS):
+            u, v = us[at : at + _CHUNK_ELEMS], vs[at : at + _CHUNK_ELEMS]
+            cu, cv = base_colors[u], base_colors[v]
+            # fully assigned edges hit every member or none
+            counts += np.count_nonzero((cu == cv) & (cu > 0))
+            neither = (cu == 0) & (cv == 0)
+            # one end free, the other fixed to a color some member gives
+            mixed = ((cu == 0) != (cv == 0)) & (cu <= k) & (cv <= k)
+            cols = (
+                u[neither],
+                v[neither],
+                np.where(cu[mixed] == 0, u[mixed], v[mixed]),
+                cu[mixed] + cv[mixed],
+            )
+            for part, col in zip(parts, cols):
+                part.append(col)
+            del cu, cv, neither, mixed  # before the next block's gathers
+        pairs_u, pairs_v, free, fixed = (np.concatenate(part) for part in parts)
     if k == 1:
         # every member colors every free vertex 1
-        counts += us[neither].size + free.size
+        counts += pairs_u.size + free.size
         return counts
     inv = _modinv_table(p, family.n)
+    inv = inv.astype(np.int32 if p * p < 1 << 31 else np.int64, copy=False)
     half = np.zeros(p, dtype=np.int64)
-    _sweep(half, p, k, inv, us[neither], vs[neither])
+    _sweep(half, p, k, inv, pairs_u, pairs_v)
     counts += half
     if p % k != 0:
         # member a >= 1 also hits where member p - a did

@@ -96,17 +96,20 @@ MAX_VERTEX_STATE_BYTES = 1 << 31
 # uncolored in the final pass) or a tenth marked, and at 17.0 bytes each
 # for 16 classes of 1250 vertices, all marked
 CANDIDATE_BYTES = 56
+# updates per block of the storage pass's keep mask
+_BLOCK = 1 << 16
 
 
 class StreamSource:
     """Replayable edge-update sequence with declared n.
 
-    The stream is held once, as the parsed int64 (sign, u, v) table, and
-    every replay yields those arrays unchanged; nothing orders an
-    update's ends, since every pass reads u and v alike.  `replays`
-    counts how many passes have been taken over the source.  n must
-    leave the colorers' per-vertex state within MAX_VERTEX_STATE_BYTES,
-    which is checked here, before any of it is allocated.
+    The stream is held once, as the parsed (sign, u, v) table (int32 when
+    every value fits, int64 otherwise), and every replay yields those
+    arrays unchanged, in their dtype; nothing orders an update's ends,
+    since every pass reads u and v alike.  `replays` counts how many
+    passes have been taken over the source.  n must leave the colorers'
+    per-vertex state within MAX_VERTEX_STATE_BYTES, which is checked
+    here, before any of it is allocated.
     """
 
     def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
@@ -135,8 +138,8 @@ class StreamSource:
         return cls(g.n, UpdateView(np.ones_like(lo), lo, hi))
 
     def replay_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One pass, returned as the read-only (us, vs, signs) int64 arrays
-        the stream was parsed into, each update's ends as written.
+        """One pass, returned as the read-only (us, vs, signs) arrays the
+        stream was parsed into, each update's ends as written.
 
         The first call checks the stream against the legality rule
         (`graph.legal_final_edges`); every call is counted as a pass.  No
@@ -194,9 +197,15 @@ class RunReport:
 
 
 def _degree_array(n: int, us, vs, signs) -> np.ndarray:
+    """Net degree of each vertex: each end counts 1, and each end of a
+    deletion 2 less.  Adding scalars keeps np.add.at on its fast path;
+    adding int32 signs to the int64 degrees took a casting path 30 times
+    slower, and np.bincount would hold a second array of n + 1 counts."""
     deg = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(deg, us, signs)
-    np.add.at(deg, vs, signs)
+    deleted = signs < 0
+    for ends in (us, vs):
+        np.add.at(deg, ends, 1)
+        np.add.at(deg, ends[deleted], -2)
     return deg
 
 
@@ -273,10 +282,17 @@ def _stored_subgraph(
     is its final one, and the candidates hold every survivor.
     """
     us, vs, signs = arrays
-    keep = (classes[us] == classes[vs]) & (marked[us] | marked[vs])
+    # formed a block at a time, so no m-sized gather is held
+    keep = np.empty(us.size, dtype=bool)
+    for at in range(0, us.size, _BLOCK):
+        u, v = us[at : at + _BLOCK], vs[at : at + _BLOCK]
+        np.logical_and(
+            classes[u] == classes[v], marked[u] | marked[v], out=keep[at : at + _BLOCK]
+        )
     us, vs = us[keep], vs[keep]
     if not dynamic:
-        lo, hi = np.minimum(us, vs), np.maximum(us, vs)
+        lo = np.minimum(us, vs, dtype=np.int64)
+        hi = np.maximum(us, vs, dtype=np.int64)
         order = np.lexsort((hi, lo))
         return Graph._from_sorted_arrays(n, lo[order], hi[order])
     signs = signs[keep]

@@ -9,10 +9,11 @@ every color fits in int64, exact Python ints (object dtype) otherwise.
 The colorers, the counter kernel, greedy extension and the validators
 all read that array as it is.
 
-An update sequence is held as three int64 arrays (sign, u, v);
-`UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges`
-is the one stream-legality rule: the colorers and `materialize` both
-check streams through it.
+An update sequence is held as three integer arrays (sign, u, v) of one
+dtype: int32 as the stream parser fills them when every value fits,
+int64 otherwise.  `UpdateView` shows them as `EdgeUpdate` tuples.
+`legal_final_edges` is the one stream-legality rule: the colorers and
+`materialize` both check streams through it.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def _check_vertex(v: int, n: int) -> None:
 
 
 class UpdateView(SequenceABC):
-    """Read-only `EdgeUpdate` sequence over int64 (sign, u, v) arrays.
+    """Read-only `EdgeUpdate` sequence over (sign, u, v) integer arrays;
+    `of` builds them as int64.
 
     Length and indexing are O(1); iteration builds the tuples as it goes.
     Equal to any sequence holding the same updates in the same order.
@@ -200,16 +202,21 @@ def legal_final_edges(
     every edge's running multiplicity stays in {0, 1}: no duplicate
     insertion, no deletion of an absent edge.  The first offending update
     in stream order raises IllegalUpdateError, naming the first of these
-    checks it fails.  The final edges come back as (lo, hi) int64 arrays,
-    lo < hi, in sorted order.
+    checks it fails.  The arrays may be int32 or int64.  The final edges
+    come back as (lo, hi) int64 arrays, lo < hi, in sorted order.
 
-    The multiplicity check sorts the updates stably by edge key
-    min(u, v) * base + max(u, v).
-    With signs of +1 and -1, an edge's multiplicity stays in {0, 1}
+    The multiplicity check reads the int64 edge keys
+    min(u, v) * base + max(u, v).  When every sign is +1, the stream is
+    legal exactly when no two keys are equal, and the keys sorted are its
+    final edges; so the keys are sorted in place, and the steps below run
+    only when some key repeats.  Then the rule sorts the updates stably by
+    key.  With signs of +1 and -1, an edge's multiplicity stays in {0, 1}
     exactly when its run of updates alternates +1, -1, +1, ..., and its
     final multiplicity is 1 when the run ends on +1.  The steps work in
-    place where they can, so the temporaries peak at about three int64
-    words per update: the edge keys, their sort order and the sorted keys.
+    place where they can, so an insertion-only stream's temporaries peak
+    at its keys and the final ends' second array, two int64 words per
+    update, and a stream with deletions adds the keys' sort order and the
+    sorted keys.
     """
     bad = us == vs
     for ends in (us, vs):
@@ -222,9 +229,15 @@ def legal_final_edges(
     base = max(int(us[:first].max(initial=0)), int(vs[:first].max(initial=0))) + 1
     if base > MAX_VERTEX + 1:
         raise TooLargeError(f"vertex {base - 1} is above MAX_VERTEX = {MAX_VERTEX}")
-    keys = np.minimum(us[:first], vs[:first])
-    keys *= base
-    keys += np.maximum(us[:first], vs[:first])
+    keys = _edge_keys(us[:first], vs[:first], base)
+    if signs[:first].min(initial=1) == 1:  # insertions only
+        keys.sort()
+        if not (keys[1:] == keys[:-1]).any():
+            if first < len(signs):
+                _raise_illegal(n, int(signs[first]), int(us[first]), int(vs[first]))
+            return _split_keys(keys, base)
+        # a repeated edge: find its first offender in stream order below
+        keys = _edge_keys(us[:first], vs[:first], base)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     insert = (signs[:first] == 1)[order]
@@ -244,10 +257,23 @@ def legal_final_edges(
     insert[:-1] &= ~same
     final = keys[insert]
     del keys
-    # lo in place: np.divmod would hold a third array of final edges
-    hi = final % base
-    final //= base
-    return final, hi
+    return _split_keys(final, base)
+
+
+def _edge_keys(us: np.ndarray, vs: np.ndarray, base: int) -> np.ndarray:
+    """The int64 keys min(u, v) * base + max(u, v), whatever the ends' dtype."""
+    keys = np.minimum(us, vs, dtype=np.int64)
+    keys *= base
+    keys += np.maximum(us, vs)
+    return keys
+
+
+def _split_keys(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lo, hi) ends of edge keys, lo taking over `keys` in place:
+    np.divmod would hold a third array of edges."""
+    hi = keys % base
+    keys //= base
+    return keys, hi
 
 
 def _raise_illegal(n: int, sign: int, u: int, v: int) -> None:

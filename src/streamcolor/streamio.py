@@ -38,7 +38,10 @@ dropped.  Every other line goes through the format's per-line rule,
 which gives the same result.  Line numbers carry over from block to
 block, and each block's rows are written in line order into one
 preallocated table with room for a row per line, so the reader's
-temporaries scale with the block and not with the file.
+temporaries scale with the block and not with the file.  The table is
+int32 until a block holds a value outside int32, so a stream whose
+vertices fit costs 12 bytes per update; it is widened to int64 then, and
+to Python ints past int64 (which only a coloring file may hold).
 
 The scan knows LF breaks only, so a buffer with any other break is first
 put in one LF form with the same lines (`_lf`): CRLF becomes LF, and if
@@ -66,8 +69,9 @@ from .graph import PartialColoring, UpdateView
 
 @dataclass(frozen=True)
 class StreamFile:
-    """A parsed stream; `updates` is an EdgeUpdate view over int64 arrays
-    (any sequence of (sign, u, v) given here is converted to one)."""
+    """A parsed stream; `updates` is an EdgeUpdate view over the parsed
+    (sign, u, v) table, int32 when every value fits and int64 otherwise
+    (any sequence of (sign, u, v) given here is converted to an int64 one)."""
 
     n: int
     delta: int | None
@@ -78,6 +82,7 @@ class StreamFile:
 
 
 _INT64 = range(-(1 << 63), 1 << 63)
+_INT32 = np.iinfo(np.int32)
 # line breaks of str.splitlines besides LF and CRLF, in ASCII and UTF-8
 _ASCII_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
@@ -196,8 +201,9 @@ def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.
     Bulk lines are decoded by `_scan_block`.  Every other line that is
     not blank or a comment goes to `rule(lineno, tokens)`, which returns
     the line's values or None, or raises; a ValueError names the line as
-    one that cannot be parsed.  The table is int64 until some values do
-    not fit, and Python ints (object dtype) from then on.
+    one that cannot be parsed.  The table is int32 while every value
+    fits; the first block with a value that does not widens it to int64,
+    and one with a value past int64 to Python ints (object dtype).
 
     The buffer is walked in blocks of the whole lines that start in the
     next _BLOCK_BYTES bytes: a block ends right after an LF or at the end
@@ -211,7 +217,7 @@ def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.
         for at in range(start, len(lf), _BLOCK_BYTES)
     )
     # at most one column per line
-    out = np.empty((3 if lead else 2, capacity), dtype=np.int64)
+    out = np.empty((3 if lead else 2, capacity), dtype=np.int32)
     filled = 0
     while start < len(lf):
         end = lf.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
@@ -232,16 +238,29 @@ def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.
                 rows.append((lineno, *values))
         if rows:  # merge them with the bulk lines in line order
             try:
-                extra = np.array(rows, dtype=out.dtype)
+                extra = np.array(rows, dtype=np.int64)
             except OverflowError:  # a number past int64
-                out, extra = out.astype(object), np.array(rows, dtype=object)
+                extra = np.array(rows, dtype=object)
             order = np.argsort(np.concatenate((linenos, extra[:, 0])))
             cols = [np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(cols, 1)]
+        out = _widened(out, cols)
         count = cols[0].shape[0]
         for row, col in zip(out, cols):
             row[filled : filled + count] = col
         filled += count
     return out[:, :filled]
+
+
+def _widened(table: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
+    """`table`, or a copy of it wide enough for the values in `cols`: int64
+    once some value leaves int32, object once some column is object."""
+    if table.dtype != object and any(col.dtype == object for col in cols):
+        return table.astype(object)
+    if table.dtype == np.int32 and any(
+        col.size and (col.min() < _INT32.min or col.max() > _INT32.max) for col in cols
+    ):
+        return table.astype(np.int64)
+    return table
 
 
 def _int64(token: str) -> int:
@@ -317,9 +336,11 @@ def _lines(us: np.ndarray, vs: np.ndarray, signs: np.ndarray | None = None) -> s
 
 
 def _decimal(values: np.ndarray) -> np.ndarray:
-    """int64 values in decimal, one right-aligned row each, 0 bytes before."""
+    """Integer values that fit int64 in decimal, one right-aligned row
+    each, 0 bytes before."""
     negative = values < 0
-    mag = values.view(np.uint64).copy()
+    # as int64 first: an int32 value's bits read as uint64 would be wrong
+    mag = values.astype(np.int64).view(np.uint64)
     np.negative(mag, out=mag, where=negative)  # |int64 min| = 2^63 fits
     width = len(str(mag.max(initial=0))) + bool(negative.any())
     out = np.zeros((values.shape[0], width), dtype=np.uint8)

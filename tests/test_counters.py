@@ -191,6 +191,28 @@ def test_int64_kernel_matches_mask_oracle(with_base):
     assert (got == want).all()
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_kernel_over_a_base_counts_as_its_small_batches_do(dtype):
+    # 150k signed edges, whose endpoint colors over the base are formed in
+    # blocks of 2^16 edges: the counts are linear in the edges, so they
+    # equal the sum over batches of 1000, whatever the arrays' dtype
+    fam = extension_family(400, 8)
+    rng = np.random.default_rng(11)
+    m = 150_000
+    us = rng.integers(1, fam.n + 1, size=m)
+    vs = (us - 1 + rng.integers(1, fam.n, size=m)) % fam.n + 1
+    signs = np.where(rng.random(m) < 0.2, -1, 1)
+    base_arr = rng.integers(1, fam.palette + 3, size=fam.n + 1)
+    base_arr[rng.random(fam.n + 1) < 0.5] = 0
+    base_arr[0] = 0
+    want = sum(
+        collision_index_counts(fam, base_arr, *(a[at : at + 1000] for a in (us, vs, signs)))
+        for at in range(0, m, 1000)
+    )
+    got = collision_index_counts(fam, base_arr, *(a.astype(dtype) for a in (us, vs, signs)))
+    assert (got == want).all()
+
+
 @pytest.mark.parametrize("p, upto", [(2, 1), (13, 12), (8009, 8000), (50021, 50000)])
 def test_modinv_table_matches_pow(p, upto):
     # 50021^2 >= 2^31: the square-and-multiply products need int64

@@ -162,6 +162,36 @@ def test_legality_rule_matches_sequential_replay(n, raw):
 
 
 @given(st.integers(min_value=2, max_value=9), st.data())
+@settings(max_examples=300)
+def test_insertion_only_legality_matches_sequential_replay(n, data):
+    # distinct insertions, copies of some of them planted anywhere (the
+    # in-place sort finds a repeat and falls back to the stable one), and
+    # at times one malformed update
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    raw = [(1, *e) for e in data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20))]
+    for _ in range(data.draw(st.integers(0, 3)) if raw else 0):
+        sign, u, v = raw[data.draw(st.integers(0, len(raw) - 1))]
+        copy = (sign, v, u) if data.draw(st.booleans()) else (sign, u, v)
+        raw.insert(data.draw(st.integers(0, len(raw))), copy)
+    bad = data.draw(st.sampled_from([None, (1, 2, 2), (1, 0, 1), (1, 1, n + 1), (2, 1, 2)]))
+    if bad is not None:
+        raw.insert(data.draw(st.integers(0, len(raw))), bad)
+    try:
+        expected = _materialize_loop(n, [EdgeUpdate(*t) for t in raw])
+    except IllegalUpdateError as exc:
+        expected = str(exc)
+    for dtype in (np.int32, np.int64):
+        sgn, us, vs = np.array(raw, dtype=dtype).reshape(-1, 3).T
+        try:
+            lo, hi = legal_final_edges(n, sgn, us, vs)
+        except IllegalUpdateError as exc:
+            assert str(exc) == expected
+            continue
+        assert lo.dtype == hi.dtype == np.int64
+        assert list(zip(lo.tolist(), hi.tolist())) == expected
+
+
+@given(st.integers(min_value=2, max_value=9), st.data())
 @settings(max_examples=100)
 def test_legality_rule_on_legal_dynamic_streams(n, data):
     # legal streams of insertions and deletions, with edges reinserted

@@ -3,10 +3,15 @@
 The parser and the legality rule work in fixed-size blocks or in place,
 so their traced peaks stay near the arrays they return.  Each test runs
 one of them on a generated n = 2000, delta = 300 stream (150k updates,
-1.6 MB of text) and bounds its tracemalloc peak by the output arrays,
-plus the file bytes for the parser, plus ALLOWANCE.  The whole-buffer
-parser peaked at 31.9 MB here and the old legality rule at 11.4 MB, well
-above these bounds.
+1.6 MB of text).  The parser is bounded by the table it fills, the file
+bytes and ALLOWANCE: it peaks at 4.8 MB with the int32 table (1.8 MB,
+12 bytes per update), at 6.6 MB when the table was int64, and at 31.9 MB
+as one whole-buffer scan.  The legality rule sorts an insertion-only
+stream's edge keys in place, and they become the final lo ends, so it is
+bounded by the final arrays plus a byte per update: it peaks at 2.40 MB,
+3 KB above the final arrays.  The stable argsort it runs only when a key
+repeats peaked at 3.6 MB here, with its order array and sorted keys, and
+the first legality rule at 11.4 MB.
 
 The passes read the parsed table as it is, so the first replay, which
 runs the legality rule, leaves less than 1 MiB traced behind it.  A
@@ -15,9 +20,13 @@ cached (lo, hi) copy of the ends held 2.4 MB here.
 The iterative colorer's first counter bank, over an all-zero base, is
 bounded by ALLOWANCE: the kernel forms its per-edge inverses in column
 blocks of fixed width, so its temporaries do not grow with the stream.
-It peaks at 3.2 MB (3.1 MiB).  Forming the inverses for the whole
-stream first peaked at 5.1 MB (4.9 MiB), and building the endpoint
-colors, masks and copies of a real base at 11.3 MB (10.8 MiB).
+It peaks at 2.6 MB (2.5 MiB), and at 3.2 MB on an int64 table.  Forming
+the inverses for the whole stream first peaked at 5.1 MB (4.9 MiB), and
+building the endpoint colors, masks and copies of a real base at 11.3 MB
+(10.8 MiB).  A bank over a real base, the coloring of the iterative
+colorer's second round, forms its endpoint colors and masks one block of
+edges at a time and is bounded by half of ALLOWANCE: it peaks at 1.5 MB.
+Gathering them for the whole stream at once peaked at 3.2 MB.
 
 Each colorer's per-vertex state is bounded by 150 bytes per vertex on a
 three-edge stream with n = 200,000 and delta = 2.  With colorings held
@@ -89,10 +98,11 @@ def _traced_peak(fn):
 
 def test_read_stream_peak_is_its_output_and_file(dense_stream):
     sf, peak = _traced_peak(lambda: read_stream(dense_stream))
-    m = len(sf.updates)
-    assert m == 150000
-    output = 3 * 8 * m
-    assert peak < output + dense_stream.stat().st_size + ALLOWANCE
+    assert len(sf.updates) == 150000
+    # the rows are views of one table, int32 here: 12 bytes per update
+    table = sf.updates.us.base
+    assert table is sf.updates.signs.base and table.dtype == np.int32
+    assert peak < table.nbytes + dense_stream.stat().st_size + ALLOWANCE
 
 
 def test_legal_final_edges_peak_is_its_output(dense_stream):
@@ -101,7 +111,9 @@ def test_legal_final_edges_peak_is_its_output(dense_stream):
         lambda: legal_final_edges(sf.n, sf.updates.signs, sf.updates.us, sf.updates.vs)
     )
     assert final_lo.size == 150000
-    assert peak < final_lo.nbytes + final_hi.nbytes + ALLOWANCE
+    # the sorted keys become the final lo ends in place; beside them only
+    # a byte mask per update, and no 8-byte order array
+    assert peak < final_lo.nbytes + final_hi.nbytes + final_lo.size
 
 
 def test_replay_holds_no_copy_of_the_stream(dense_stream):
@@ -120,6 +132,20 @@ def test_first_iterative_bank_peak_is_bounded(dense_stream):
     bank, peak = _traced_peak(lambda: CounterBank.from_arrays(fam, base, lo, hi, signs))
     assert bank.counts[0] == lo.size  # member 0 colors every edge alike
     assert peak < ALLOWANCE
+
+
+def test_bank_over_a_real_base_peak_is_bounded(dense_stream):
+    sf = read_stream(dense_stream)
+    fam = extension_family(sf.n, sf.delta)
+    # the coloring the iterative colorer banks over in its second round
+    base = iterative_coloring(StreamSource.from_stream_file(sf), sf.delta).phase_colorings[0]
+    assert 0 < base.colored_count() < sf.n
+    updates = sf.updates
+    bank, peak = _traced_peak(
+        lambda: CounterBank.from_arrays(fam, base, updates.us, updates.vs, updates.signs)
+    )
+    assert bank.counts.sum() > 0
+    assert peak < ALLOWANCE // 2
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,26 @@ def test_dumps_stream_matches_per_line_format(raw, delta):
     assert dumps_stream(7, raw, delta) == "\n".join(lines) + "\n"
 
 
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from([1, -1]),
+            st.integers(-(1 << 31), (1 << 31) - 1),
+            st.integers(-(1 << 31), (1 << 31) - 1),
+        ),
+        max_size=30,
+    )
+)
+@example([(1, 1, (1 << 31) - 1), (-1, -(1 << 31), 7), (1, 0, -3)])
+@settings(max_examples=60)
+def test_parsed_int32_table_round_trips(raw):
+    # the writer reads an int32 table's values, not its bits as uint64
+    text = "n 7\n" + "".join(f"{'+' if s == 1 else '-'} {u} {v}\n" for s, u, v in raw)
+    sf = loads_stream(text)
+    assert sf.updates.us.dtype == np.int32
+    assert dumps_stream(sf.n, sf.updates) == text
+
+
 def test_coloring_roundtrip():
     c = PartialColoring(3, 2, [2, 1, 2])
     text = dumps_coloring(c)
@@ -442,8 +462,53 @@ def test_updates_view_is_sized_and_indexed():
     sf = loads_stream(SAMPLE)
     assert len(sf.updates) == 4
     assert sf.updates[2] == EdgeUpdate(-1, 1, 2)
-    assert sf.updates.signs.dtype == np.int64
+    # the parsed table is int32 while every value fits
+    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int32
     assert not sf.updates.us.flags.writeable
+
+
+# more than one parse block of updates whose values fit int32
+_FILLER_LINES = streamio._BLOCK_BYTES // 6 + 10
+_FILLER = "+ 1 2\n" * _FILLER_LINES
+
+
+def test_vertex_at_int32_max_keeps_the_table_int32():
+    sf = loads_stream(f"n 3\n{_FILLER}+ 1 {2**31 - 1}\n- {-(2**31)} 2\n")
+    assert sf.updates.us.dtype == sf.updates.vs.dtype == np.int32
+    assert sf.updates[-2] == EdgeUpdate(1, 1, 2**31 - 1)
+    assert sf.updates[-1] == EdgeUpdate(-1, -(2**31), 2)
+
+
+# a bulk line, then lines that go through the per-line rule
+@pytest.mark.parametrize("late", ["+ 1 2147483648", "+\t1 2147483648", "- -2147483649 3"])
+def test_vertex_past_int32_in_a_later_block_widens_the_table(late):
+    text = f"n 3\n{_FILLER}{late}\n+ 2 3\n"
+    sf = loads_stream(text)
+    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int64
+    sign, u, v = late.split()
+    assert len(sf.updates) == _FILLER_LINES + 2
+    assert sf.updates[0] == EdgeUpdate(1, 1, 2)
+    assert sf.updates[-2] == EdgeUpdate(1 if sign == "+" else -1, int(u), int(v))
+    assert sf.updates[-1] == EdgeUpdate(1, 2, 3)
+    # lines after the widening keep their numbers
+    with pytest.raises(StreamFormatError) as got:
+        loads_stream(text + "+ 2 x\n")
+    assert str(got.value) == f"line {_FILLER_LINES + 4}: cannot parse '+ 2 x'"
+
+
+def test_number_past_int64_gives_object_dtype():
+    lines = [f"{v} 1" for v in range(1, _FILLER_LINES)] + [f"{_FILLER_LINES} {2**64}"]
+    text = "\n".join(lines) + "\n"
+    table = streamio._table(text.encode(), 0, 0, 0, streamio._vertex_color)
+    assert table.dtype == object
+    assert table[:, -2:].tolist() == [[_FILLER_LINES - 1, _FILLER_LINES], [1, 2**64]]
+    coloring = loads_coloring(text)
+    assert coloring.array.dtype == object
+    assert coloring.color_of(_FILLER_LINES) == 2**64
+    # a stream still names the line of a number past int64
+    with pytest.raises(StreamFormatError) as got:
+        loads_stream(f"n 3\n{_FILLER}+ 1 {2**64}\n")
+    assert str(got.value) == f"line {_FILLER_LINES + 2}: cannot parse '+ 1 {2**64}'"
 
 
 def _loads_coloring_per_line(text: str) -> PartialColoring:
