@@ -41,6 +41,8 @@ if TYPE_CHECKING:
     from .lab.lnscaled import LnScaled
 
 EXIT_OK = 0
+# characters per write of an output text
+_WRITE_CHARS = 1 << 20
 
 
 def _seed_flag(text: str) -> int:
@@ -148,7 +150,10 @@ def _put(fh, text: str) -> None:
     with fh:
         if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
             fh.truncate(0)
-        fh.write(text)
+        # a slice at a time, since the text encoded at once is a second
+        # copy of it: 20 MB for the coloring of n = 2,000,000
+        for at in range(0, len(text), _WRITE_CHARS):
+            fh.write(text[at : at + _WRITE_CHARS])
 
 
 def _parser() -> argparse.ArgumentParser:

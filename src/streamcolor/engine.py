@@ -83,9 +83,10 @@ from .streamio import StreamFile
 # bytes of per-vertex state a `color` run holds at its peak, rounded up:
 # the degree and color arrays, the greedy step's CSR form and the
 # coloring's output text.  A `color` child on a three-edge stream with
-# n = 2,000,000 peaked 48.4-49.4 bytes per vertex above an n = 10 run
-# with --alg iterative and 43.3-44.3 with --alg two-pass or
-# --unknown-delta.  A dynamic colorer's sketch is not counted here.
+# n = 2,000,000 peaked 43.3 bytes per vertex above an n = 10 run with
+# --alg iterative and 41.2-41.3 with --alg two-pass or --unknown-delta;
+# tests/test_memory.py holds each colorer to this figure.  A dynamic
+# colorer's sketch is not counted here.
 VERTEX_STATE_BYTES = 50
 # the most per-vertex state a colorer may ask for (2 GiB): n <= 42949672.
 # A dynamic colorer's decode candidates are held to the same cap.
@@ -97,19 +98,19 @@ MAX_VERTEX_STATE_BYTES = 1 << 31
 # for 16 classes of 1250 vertices, all marked
 CANDIDATE_BYTES = 56
 # updates per block of the storage pass's keep mask
-_BLOCK = 1 << 16
+_BLOCK = 1 << 14
 
 
 class StreamSource:
     """Replayable edge-update sequence with declared n.
 
-    The stream is held once, as the parsed (sign, u, v) table (int32 when
-    every value fits, int64 otherwise), and every replay yields those
-    arrays unchanged, in their dtype; nothing orders an update's ends,
-    since every pass reads u and v alike.  `replays` counts how many
-    passes have been taken over the source.  n must leave the colorers'
-    per-vertex state within MAX_VERTEX_STATE_BYTES, which is checked
-    here, before any of it is allocated.
+    The stream is held once, as the parsed (sign, u, v) table (in the
+    first of int16, int32 and int64 that holds every value), and every
+    replay yields those arrays unchanged, in their dtype; nothing orders
+    an update's ends, since every pass reads u and v alike.  `replays`
+    counts how many passes have been taken over the source.  n must
+    leave the colorers' per-vertex state within MAX_VERTEX_STATE_BYTES,
+    which is checked here, before any of it is allocated.
     """
 
     def __init__(self, n: int, updates: Iterable[EdgeUpdate]):
@@ -142,12 +143,14 @@ class StreamSource:
         stream was parsed into, each update's ends as written.
 
         The first call checks the stream against the legality rule
-        (`graph.legal_final_edges`); every call is counted as a pass.  No
-        copy is made: the passes read the one table the parser filled.
+        (`graph.legal_final_edges`), taking its verdict only; every call
+        is counted as a pass.  No copy is made: the passes read the one
+        table the parser filled.
         """
         self.replays += 1
         if not self._checked:
-            legal_final_edges(self.n, self.updates.signs, self.updates.us, self.updates.vs)
+            updates = self.updates
+            legal_final_edges(self.n, updates.signs, updates.us, updates.vs, final=False)
             self._checked = True
         return self.updates.us, self.updates.vs, self.updates.signs
 

@@ -10,10 +10,11 @@ The colorers, the counter kernel, greedy extension and the validators
 all read that array as it is.
 
 An update sequence is held as three integer arrays (sign, u, v) of one
-dtype: int32 as the stream parser fills them when every value fits,
-int64 otherwise.  `UpdateView` shows them as `EdgeUpdate` tuples.
-`legal_final_edges` is the one stream-legality rule: the colorers and
-`materialize` both check streams through it.
+dtype: the first of int16, int32 and int64 that holds every value, as
+the stream parser fills them, or int64 as `UpdateView.of` builds them.
+`UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges` is
+the one stream-legality rule: the colorers and `materialize` both check
+streams through it.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+# updates or edges per block of the edge keys and of the validators
+_BLOCK = 1 << 14
 # the largest vertex id whose edges key into one int64:
 # lo * (MAX_VERTEX + 1) + hi < 2^63 for 1 <= lo < hi <= MAX_VERTEX
 MAX_VERTEX = 3037000499
@@ -192,9 +195,10 @@ def complete_graph(n: int) -> Graph:
 
 
 def legal_final_edges(
-    n: int, signs: np.ndarray, us: np.ndarray, vs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The stream-legality rule; returns the final edge set.
+    n: int, signs: np.ndarray, us: np.ndarray, vs: np.ndarray, *, final: bool = True
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The stream-legality rule; returns the final edge set, or None if
+    `final` is False and only the verdict is wanted.
 
     Takes each update (sign, u, v) as the three arrays hold it, with u and
     v in either order.  A stream on vertices 1..n is legal when every
@@ -202,21 +206,25 @@ def legal_final_edges(
     every edge's running multiplicity stays in {0, 1}: no duplicate
     insertion, no deletion of an absent edge.  The first offending update
     in stream order raises IllegalUpdateError, naming the first of these
-    checks it fails.  The arrays may be int32 or int64.  The final edges
-    come back as (lo, hi) int64 arrays, lo < hi, in sorted order.
+    checks it fails.  The arrays may be of any integer dtype.  The final
+    edges come back as (lo, hi) int64 arrays, lo < hi, in sorted order.
 
-    The multiplicity check reads the int64 edge keys
-    min(u, v) * base + max(u, v).  When every sign is +1, the stream is
-    legal exactly when no two keys are equal, and the keys sorted are its
-    final edges; so the keys are sorted in place, and the steps below run
-    only when some key repeats.  Then the rule sorts the updates stably by
-    key.  With signs of +1 and -1, an edge's multiplicity stays in {0, 1}
-    exactly when its run of updates alternates +1, -1, +1, ..., and its
-    final multiplicity is 1 when the run ends on +1.  The steps work in
-    place where they can, so an insertion-only stream's temporaries peak
-    at its keys and the final ends' second array, two int64 words per
-    update, and a stream with deletions adds the keys' sort order and the
-    sorted keys.
+    The multiplicity check reads the edge keys min(u, v) * base + max(u,
+    v), formed a block of updates at a time into one array: int64 when
+    the final edges are wanted, since the sorted keys become their lo
+    ends in place, and otherwise the narrowest of int16, int32 and int64
+    that holds base^2 (int32 for vertices up to 46340).  When every sign
+    is +1, the stream is legal exactly when no two keys are equal, and
+    the keys sorted are its final edges; so the keys are sorted in place,
+    and the steps below run only when some key repeats.  Then the rule
+    sorts the updates stably by key.  With signs of +1 and -1, an edge's
+    multiplicity stays in {0, 1} exactly when its run of updates
+    alternates +1, -1, +1, ..., and its final multiplicity is 1 when the
+    run ends on +1.  The steps work in place where they can, so an
+    insertion-only stream's temporaries peak at its keys and a byte per
+    update, with the final ends' second array, an int64 word per update,
+    when they are wanted; a stream with deletions adds the keys' sort
+    order and the sorted keys.
     """
     bad = us == vs
     for ends in (us, vs):
@@ -229,15 +237,18 @@ def legal_final_edges(
     base = max(int(us[:first].max(initial=0)), int(vs[:first].max(initial=0))) + 1
     if base > MAX_VERTEX + 1:
         raise TooLargeError(f"vertex {base - 1} is above MAX_VERTEX = {MAX_VERTEX}")
-    keys = _edge_keys(us[:first], vs[:first], base)
+    # every key is below base^2; as the final lo ends the keys are int64
+    fits = [t for t in (np.int16, np.int32) if base * base <= np.iinfo(t).max + 1]
+    key_dtype = fits[0] if fits and not final else np.int64
+    keys = _edge_keys(us[:first], vs[:first], base, key_dtype)
     if signs[:first].min(initial=1) == 1:  # insertions only
         keys.sort()
         if not (keys[1:] == keys[:-1]).any():
             if first < len(signs):
                 _raise_illegal(n, int(signs[first]), int(us[first]), int(vs[first]))
-            return _split_keys(keys, base)
+            return _split_keys(keys, base) if final else None
         # a repeated edge: find its first offender in stream order below
-        keys = _edge_keys(us[:first], vs[:first], base)
+        keys = _edge_keys(us[:first], vs[:first], base, key_dtype)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     insert = (signs[:first] == 1)[order]
@@ -252,25 +263,31 @@ def legal_final_edges(
         first = int(order[wrong].min())
     if first < len(signs):
         _raise_illegal(n, int(signs[first]), int(us[first]), int(vs[first]))
+    if not final:
+        return None
     del order
     # the last update of each run is +1 where the edge is in the final graph
     insert[:-1] &= ~same
-    final = keys[insert]
+    final_keys = keys[insert]
     del keys
-    return _split_keys(final, base)
+    return _split_keys(final_keys, base)
 
 
-def _edge_keys(us: np.ndarray, vs: np.ndarray, base: int) -> np.ndarray:
-    """The int64 keys min(u, v) * base + max(u, v), whatever the ends' dtype."""
-    keys = np.minimum(us, vs, dtype=np.int64)
-    keys *= base
-    keys += np.maximum(us, vs)
+def _edge_keys(us: np.ndarray, vs: np.ndarray, base: int, dtype) -> np.ndarray:
+    """The keys min(u, v) * base + max(u, v) in `dtype`, which must hold
+    base^2 - 1, formed a block at a time, whatever the ends' dtype."""
+    keys = np.empty(us.shape[0], dtype=dtype)
+    for at in range(0, keys.size, _BLOCK):
+        u, v, key = us[at : at + _BLOCK], vs[at : at + _BLOCK], keys[at : at + _BLOCK]
+        np.minimum(u, v, out=key, casting="unsafe")
+        key *= base
+        key += np.maximum(u, v)
     return keys
 
 
 def _split_keys(keys: np.ndarray, base: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (lo, hi) ends of edge keys, lo taking over `keys` in place:
-    np.divmod would hold a third array of edges."""
+    """The (lo, hi) ends of int64 edge keys, lo taking over `keys` in
+    place: np.divmod would hold a third array of edges."""
     hi = keys % base
     keys //= base
     return keys, hi
@@ -384,11 +401,14 @@ class PartialColoring:
 
 def _monochromatic(g: Graph, coloring: PartialColoring) -> list[Edge]:
     """Edges of g whose endpoints share a color, sorted; uncolored
-    endpoints share none."""
+    endpoints share none.  The ends' colors are gathered a block of
+    edges at a time."""
     cols = coloring.array
     lo, hi = g.edge_arrays()
-    cu = cols[lo]
-    mono = (cu == cols[hi]) & (cu != 0)
+    mono = np.empty(lo.size, dtype=bool)
+    for at in range(0, lo.size, _BLOCK):
+        cu = cols[lo[at : at + _BLOCK]]
+        np.logical_and(cu == cols[hi[at : at + _BLOCK]], cu != 0, out=mono[at : at + _BLOCK])
     return list(zip(lo[mono].tolist(), hi[mono].tolist()))
 
 

@@ -26,28 +26,36 @@ Coloring file: UTF-8 text, one line `<vertex> <color>` per vertex,
 ascending, one for every vertex 1..n, with the same line breaks, blank
 lines and comments.  Its integers are read by `int()` without a range.
 
-Both formats are read by one table reader, `_table`.  The grammar makes
-a stream's first line that is not blank or a comment its header, so the
-stream parser reads that line first and hands the rest to `_table`.  The
-reader walks the buffer in blocks of whole lines, about 64 KiB each, as
-views of one numpy array over the bytes.  In each block, lines of the
-bulk form (`[+-] <digits> <digits>` for streams, `<digits> <digits>` for
-colorings; single spaces, at most 18 digits per number) are decoded in
-bulk into int64 columns, and empty lines and lines starting `#` are
-dropped.  Every other line goes through the format's per-line rule,
-which gives the same result.  Line numbers carry over from block to
-block, and each block's rows are written in line order into one
-preallocated table with room for a row per line, so the reader's
-temporaries scale with the block and not with the file.  The table is
-int32 until a block holds a value outside int32, so a stream whose
-vertices fit costs 12 bytes per update; it is widened to int64 then, and
-to Python ints past int64 (which only a coloring file may hold).
+Both formats are read by one table reader, `_table`, from one block
+reader, `_blocks`.  A file is read about 64 KiB at a time, and text in
+memory is fed through the same loop, in raw blocks of whole lines: each
+ends right after an LF or a lone CR, or at the end of the data, so no
+block splits a CRLF pair or a UTF-8 character, and every line keeps its
+number.  Each raw block is checked to be UTF-8 and put in one LF form
+with the same lines (`_lf`): CRLF becomes LF, and if a CR or another
+break is still left, the lines of `str.splitlines` are joined by LF (the
+replaced bytes would read "a\\r\\r\\nb" as two lines, not three).  An LF
+block is scanned as given.  A parse error waits for the rest of the
+input to be checked as UTF-8, so a later line that is not UTF-8 is
+named first, as a whole-file read would name it.  Nothing is read twice
+and nothing seeks, so a pipe reads as a file does.
 
-The scan knows LF breaks only, so a buffer with any other break is first
-put in one LF form with the same lines (`_lf`): CRLF becomes LF, and if
-a CR or another break is still left, the lines of `str.splitlines` on
-the original text are joined by LF (the replaced bytes would read
-"a\\r\\r\\nb" as two lines, not three).  An LF buffer is scanned as given.
+The grammar makes a stream's first line that is not blank or a comment
+its header, so the stream parser reads that line first and hands the
+rest to `_table`.  In each block, lines of the bulk form (`[+-] <digits>
+<digits>` for streams, `<digits> <digits>` for colorings; single spaces,
+at most 18 digits per number) are decoded in bulk into int64 columns,
+and empty lines and lines starting `#` are dropped.  Every other line
+goes through the format's per-line rule, which gives the same result.
+Each block's rows are written in line order into one preallocated
+table, with room for the most rows the input's size allows (a row line
+holds at least 5 bytes and a break for a stream, 3 and a break for a
+coloring); input of unknown size, such as a pipe, grows it.  So the
+reader's temporaries scale with the block and not with the file.  The
+table takes the first of int16, int32 and int64 that holds every value
+so far, so a stream with n <= 32767 costs 6 bytes per update and one
+with n < 2^31 12; a block with a wider value widens it, and a value
+past int64 (which only a coloring file may hold) makes it Python ints.
 
 Both formats are written by one writer, `_lines`, which lays out 2^16
 lines at a time in a byte table with numpy; `dumps_stream` and
@@ -57,9 +65,13 @@ independent.
 
 from __future__ import annotations
 
+import io
+import os
+import stat
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -70,8 +82,9 @@ from .graph import PartialColoring, UpdateView
 @dataclass(frozen=True)
 class StreamFile:
     """A parsed stream; `updates` is an EdgeUpdate view over the parsed
-    (sign, u, v) table, int32 when every value fits and int64 otherwise
-    (any sequence of (sign, u, v) given here is converted to an int64 one)."""
+    (sign, u, v) table, in the first of int16, int32 and int64 that holds
+    every value (any sequence of (sign, u, v) given here is converted to
+    an int64 one)."""
 
     n: int
     delta: int | None
@@ -82,7 +95,8 @@ class StreamFile:
 
 
 _INT64 = range(-(1 << 63), 1 << 63)
-_INT32 = np.iinfo(np.int32)
+# the table's dtypes, narrowest first
+_LADDER = tuple(np.iinfo(t) for t in (np.int16, np.int32, np.int64))
 # line breaks of str.splitlines besides LF and CRLF, in ASCII and UTF-8
 _ASCII_BREAKS = (b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
 _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
@@ -90,37 +104,103 @@ _UTF8_BREAKS = _ASCII_BREAKS + (b"\xc2\x85", b"\xe2\x80\xa8", b"\xe2\x80\xa9")
 _BULK_DIGITS = 18
 # lines per `_lines` buffer, which keeps its temporaries to a few MB
 _LINES = 1 << 16
-# bytes per parse block (see `_table`).  On the n = 2000, delta = 300
-# benchmark stream (150k updates, 1.6 MB) `read_stream` traced a 6.7 MB
-# peak with 2^16, of which 5.2 MB are the file and the output, against
-# 31.9 MB for one whole-buffer scan; 2^18 peaked at 10.9 MB, and 2^14
-# saved 1.1 MB but took a third longer (2-vCPU x86 VM).
+# bytes per read (see `_blocks`).  On the n = 2000, delta = 300 benchmark
+# stream (150k updates, 1.6 MB) `read_stream` traced a 3.2 MB peak in
+# reads of 2^16 bytes, 1.6 MB of it the table's room, and 4.7 MB in reads
+# of 2^17; 2^15 saved 0.8 MB but took 26 ms against 23 (2-vCPU x86 VM).
+# One scan of the whole file peaked at 31.9 MB.
 _BLOCK_BYTES = 1 << 16
 _PLUS, _MINUS, _SPACE, _LF, _ZERO, _HASH = b"+- \n0#"
 
 
-def _utf8(data: bytes) -> str:
+def _utf8(data: bytes, before: int) -> str:
+    """`data`, whose first line is line `before + 1`, as text."""
     try:
         return data.decode("utf-8", "surrogatepass")
     except UnicodeDecodeError as exc:
         head = data[: exc.start].decode("utf-8", "surrogatepass")
-        lineno = len((head + "x").splitlines())
+        lineno = before + len((head + "x").splitlines())
         raise StreamFormatError(f"line {lineno}: not UTF-8 text") from exc
 
 
-def _lf(data: bytes) -> bytes:
-    """`data`, checked to be UTF-8, with the same lines all ending in LF."""
+def _lf(data: bytes, before: int = 0) -> bytes:
+    """`data`, checked to be UTF-8, with the same lines all ending in LF
+    but perhaps the last; its first line is line `before + 1`."""
     ascii_only = data.isascii()
     if not ascii_only:
-        _utf8(data)  # names the first line that is not UTF-8
+        _utf8(data, before)  # names the first line that is not UTF-8
     # an LF buffer is scanned as given: `in` finds no CR in a 1.6 MB stream
     # in 0.04 ms, bytes.replace no CRLF in 3.6 ms (2-vCPU x86 VM)
     lf = data.replace(b"\r\n", b"\n") if b"\r" in data else data
     other_breaks = _ASCII_BREAKS if ascii_only else _UTF8_BREAKS
     if b"\r" in lf or any(b in lf for b in other_breaks):
-        text = data.decode("utf-8", "surrogatepass")
-        lf = "\n".join(text.splitlines()).encode("utf-8", "surrogatepass")
+        lines = data.decode("utf-8", "surrogatepass").splitlines()
+        # every line ends in LF, an empty last one too
+        lf = "\n".join([*lines, ""]).encode("utf-8", "surrogatepass")
     return lf
+
+
+def _blocks(read: Callable[[int], bytes]) -> Iterator[tuple[bytes, int]]:
+    """What `read(size)` returns until it returns b"", in LF form (`_lf`)
+    a block of whole lines at a time, each with the number of lines
+    before it.
+
+    A raw block is what the reads of about _BLOCK_BYTES bytes gave up to
+    their last LF, or to their last CR before another byte if a read
+    holds no LF (that CR is a lone one); a line that runs on past a read
+    is joined to the next one, and the data ends the last block.  So
+    only the last block's LF form can end without an LF, and the LFs of
+    the others count their lines.
+    """
+    before, tail = 0, []  # tail: the start of a line that runs on
+    while chunk := read(_BLOCK_BYTES):
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, len(chunk) - 1) + 1
+        if cut:
+            lf = _lf(b"".join((*tail, chunk[:cut])), before)
+            yield lf, before
+            before += int(np.count_nonzero(np.frombuffer(lf, dtype=np.uint8) == _LF))
+            tail = []
+        tail.append(chunk[cut:])
+    last = b"".join(tail)
+    if last:
+        yield _lf(last, before), before
+
+
+def _read(read: Callable[[int], bytes], size: int, parse: Callable):
+    """`parse(blocks, size)` over the blocks of what `read` returns, at
+    most `size` bytes unless `size` is 0 (unknown).  On a parse error the
+    rest is still checked as UTF-8, and a line that is not UTF-8 is
+    named instead, as a whole-file read would name it."""
+    blocks = _blocks(read)
+    try:
+        return parse(blocks, size)
+    except StreamFormatError:
+        for _ in blocks:
+            pass
+        raise
+
+
+def _read_file(path: str | Path, parse: Callable):
+    """`_read` over the file at `path`, a block at a time.  An OSError of
+    a read names `path`, as one of the open does."""
+    with open(path, "rb") as file:
+        info = os.fstat(file.fileno())
+
+        def read(size: int) -> bytes:
+            try:
+                return file.read(size)
+            except OSError as exc:
+                exc.filename = os.fspath(path)
+                raise
+
+        # a regular file's size bounds its rows; a pipe's is unknown
+        return _read(read, info.st_size if stat.S_ISREG(info.st_mode) else 0, parse)
+
+
+def _read_text(text: str, parse: Callable):
+    """`_read` over `text`, through the same block loop as a file."""
+    data = text.encode("utf-8", "surrogatepass")
+    return _read(io.BytesIO(data).read, len(data), parse)
 
 
 def _digits(buf: np.ndarray, first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -139,9 +219,8 @@ def _scan_block(buf: np.ndarray, before: int, lead: int):
     the lead is `+ ` or `- ` if `lead` is 2 and nothing if it is 0.
 
     Returns their line numbers; their int64 columns (the sign, if `lead`
-    is 2, then both numbers); every other line that is not empty and
-    does not start with `#` as (line number, text); and the number of
-    lines before the next block.
+    is 2, then both numbers); and every other line that is not empty and
+    does not start with `#` as (line number, text).
     """
     size = buf.shape[0]
     breaks = np.flatnonzero(buf == _LF)
@@ -185,46 +264,47 @@ def _scan_block(buf: np.ndarray, before: int, lead: int):
     # gathered with their LF breaks, the only breaks in the block
     text = buf[np.repeat(rest, width)].tobytes().decode("utf-8", "surrogatepass")
     lines = zip((np.flatnonzero(rest) + (before + 1)).tolist(), text.splitlines())
-    return bulk_idx + (before + 1), cols, lines, before + starts.shape[0]
+    return bulk_idx + (before + 1), cols, lines
 
 
 def _cannot_parse(lineno: int, raw: str) -> StreamFormatError:
     return StreamFormatError(f"line {lineno}: cannot parse {raw!r}")
 
 
-def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.ndarray:
-    """The values of the lines of the LF buffer `lf` from byte `start` on,
-    the first of them line `before + 1`, in line order as one table with
-    a row per field, (sign, u, v) if `lead` is 2 and two numbers if it
-    is 0, and a column per line that gives values.
+def _table(
+    lf: bytes,
+    start: int,
+    before: int,
+    lead: int,
+    rule: Callable,
+    blocks: Iterable[tuple[bytes, int]] = (),
+    size: int | None = None,
+) -> np.ndarray:
+    """The values of the lines of the LF block `lf` from byte `start` on,
+    the first of them line `before + 1`, then of each LF block of
+    `blocks` with the number of lines before it, in line order as one
+    table with a row per field, (sign, u, v) if `lead` is 2 and two
+    numbers if it is 0, and a column per line that gives values.
 
     Bulk lines are decoded by `_scan_block`.  Every other line that is
     not blank or a comment goes to `rule(lineno, tokens)`, which returns
     the line's values or None, or raises; a ValueError names the line as
-    one that cannot be parsed.  The table is int32 while every value
-    fits; the first block with a value that does not widens it to int64,
-    and one with a value past int64 to Python ints (object dtype).
+    one that cannot be parsed.  The dtype is the first of int16, int32
+    and int64 that holds every value so far, and Python ints (object)
+    past int64 (`_widened`).
 
-    The buffer is walked in blocks of the whole lines that start in the
-    next _BLOCK_BYTES bytes: a block ends right after an LF or at the end
-    of the data, and a longer line is a block of its own.  Blocks are
-    views of one array over `lf`.
+    `size` bounds the bytes of all those lines, 0 if it is unknown; by
+    default it is the bytes of `lf` from `start` on.  A line that gives
+    values holds at least `lead` + 3 bytes and a break, which sizes the
+    table; it grows if the lines give more rows.
     """
-    buf = np.frombuffer(lf, dtype=np.uint8)
-    # counted in blocks: bytes.count takes 8x as long
-    capacity = 1 + sum(
-        int(np.count_nonzero(buf[at : at + _BLOCK_BYTES] == _LF))
-        for at in range(start, len(lf), _BLOCK_BYTES)
-    )
-    # at most one column per line
-    out = np.empty((3 if lead else 2, capacity), dtype=np.int32)
+    size = len(lf) - start if size is None else size
+    table = _empty(3 if lead else 2, size // (lead + 4) + 1, np.int16)
     filled = 0
-    while start < len(lf):
-        end = lf.rfind(b"\n", start, start + _BLOCK_BYTES) + 1
-        if end <= start:  # no break in the window: the line runs on
-            end = lf.find(b"\n", start + _BLOCK_BYTES) + 1 or len(lf)
-        linenos, cols, lines, before = _scan_block(buf[start:end], before, lead)
-        start = end
+    first = np.frombuffer(lf, dtype=np.uint8)[start:], before
+    bufs = ((np.frombuffer(block, dtype=np.uint8), n) for block, n in blocks)
+    for buf, before in chain([first], bufs):
+        linenos, cols, lines = _scan_block(buf, before, lead)
         rows = []  # (line number, *values) of the per-line rule's lines
         for lineno, raw in lines:
             parts = raw.split()
@@ -243,24 +323,57 @@ def _table(lf: bytes, start: int, before: int, lead: int, rule: Callable) -> np.
                 extra = np.array(rows, dtype=object)
             order = np.argsort(np.concatenate((linenos, extra[:, 0])))
             cols = [np.concatenate((col, extra[:, c]))[order] for c, col in enumerate(cols, 1)]
-        out = _widened(out, cols)
+        table = _widened(table, filled, cols)
         count = cols[0].shape[0]
-        for row, col in zip(out, cols):
+        for row, col in zip(table, cols):
             row[filled : filled + count] = col
         filled += count
-    return out[:, :filled]
+    return _trimmed(table, filled)
 
 
-def _widened(table: np.ndarray, cols: list[np.ndarray]) -> np.ndarray:
-    """`table`, or a copy of it wide enough for the values in `cols`: int64
-    once some value leaves int32, object once some column is object."""
-    if table.dtype != object and any(col.dtype == object for col in cols):
-        return table.astype(object)
-    if table.dtype == np.int32 and any(
-        col.size and (col.min() < _INT32.min or col.max() > _INT32.max) for col in cols
-    ):
-        return table.astype(np.int64)
-    return table
+def _widened(table: np.ndarray, filled: int, cols: list[np.ndarray]) -> np.ndarray:
+    """`table`, or its first `filled` columns in a new table with room for
+    `cols` after them and a dtype that holds their values too: the next
+    of int16, int32 and int64 that does, or object once some column is.
+    The room doubles at least, so a table of unknown size is copied
+    O(log rows) times."""
+    dtype = table.dtype
+    if any(col.dtype == object for col in cols):
+        dtype = np.dtype(object)
+    elif dtype != object:
+        values = [bound for col in cols if col.size for bound in (col.min(), col.max())]
+        lo, hi = min(values, default=0), max(values, default=0)
+        wide_enough = (t for t in _LADDER if t.bits >= 8 * dtype.itemsize)
+        dtype = next(t.dtype for t in wide_enough if t.min <= lo and hi <= t.max)
+    need = filled + cols[0].shape[0]
+    capacity = table.shape[1]
+    if dtype == table.dtype and need <= capacity:
+        return table
+    if need > capacity:
+        capacity = max(2 * capacity, need)
+    wide = _empty(table.shape[0], capacity, dtype)
+    wide[:, :filled] = table[:, :filled]
+    return wide
+
+
+def _empty(rows: int, capacity: int, dtype) -> np.ndarray:
+    """An empty table of `rows` rows, a view of one flat array, its base."""
+    return np.empty(rows * capacity, dtype=dtype).reshape(rows, capacity)
+
+
+def _trimmed(table: np.ndarray, filled: int) -> np.ndarray:
+    """The first `filled` columns of an `_empty` table as a table of their
+    own: the rows are moved together in place, and the memory past them
+    is given back, so no slack outlives the reader (a huge page holds up
+    to 2 MiB of it past each row's end).  An object table keeps its
+    slack, since `resize` would not release the references it cuts."""
+    flat, (rows, width) = table.base, table.shape
+    for r in range(1, rows):  # numpy moves overlapping ranges as memmove
+        flat[r * filled : (r + 1) * filled] = flat[r * width : r * width + filled]
+    if flat.dtype != object:
+        # the caller drops its view of the old memory as this returns
+        flat.resize(rows * filled, refcheck=False)
+    return flat[: rows * filled].reshape(rows, filled)
 
 
 def _int64(token: str) -> int:
@@ -270,20 +383,26 @@ def _int64(token: str) -> int:
     return value
 
 
-def _parse(data: bytes) -> StreamFile:
-    """The stream parser; see the module docstring for the grammar."""
-    lf = _lf(data)
-    # the first line that is not blank or a comment is the header
-    start = lineno = 0
-    while start < len(lf):
-        end = lf.find(b"\n", start) + 1 or len(lf) + 1
-        raw = lf[start : end - 1].decode("utf-8", "surrogatepass")
-        start, lineno = end, lineno + 1
-        parts = raw.split()
-        if parts and not parts[0].startswith("#"):
-            break
-    else:
-        raise StreamFormatError("missing `n <N>` header")
+def _header(blocks: Iterator[tuple[bytes, int]]) -> tuple[bytes, int, int, str]:
+    """The stream's first line that is not blank or a comment, as its LF
+    block, the offset right after it, its line number and its text."""
+    for lf, lineno in blocks:
+        start = 0
+        while start < len(lf):
+            end = lf.find(b"\n", start) + 1 or len(lf) + 1
+            raw = lf[start : end - 1].decode("utf-8", "surrogatepass")
+            start, lineno = end, lineno + 1
+            parts = raw.split()
+            if parts and not parts[0].startswith("#"):
+                return lf, start, lineno, raw
+    raise StreamFormatError("missing `n <N>` header")
+
+
+def _parse(blocks: Iterator[tuple[bytes, int]], size: int) -> StreamFile:
+    """The stream parser over `_blocks`; see the module docstring for the
+    grammar."""
+    lf, start, lineno, raw = _header(blocks)
+    parts = raw.split()
     try:
         if parts[0] != "n" or len(parts) != 2:
             raise ValueError
@@ -302,7 +421,7 @@ def _parse(data: bytes) -> StreamFile:
             raise ValueError
         return 1 if parts[0] == "+" else -1, _int64(parts[1]), _int64(parts[2])
 
-    signs, us, vs = _table(lf, start, lineno, 2, update)
+    signs, us, vs = _table(lf, start, lineno, 2, update, blocks, size)
     if n < 0:
         raise StreamFormatError("n must be nonnegative")
     if delta is not None and delta < 0:
@@ -311,7 +430,7 @@ def _parse(data: bytes) -> StreamFile:
 
 
 def loads_stream(text: str) -> StreamFile:
-    return _parse(text.encode("utf-8", "surrogatepass"))
+    return _read_text(text, _parse)
 
 
 def dumps_stream(n: int, updates, delta: int | None = None) -> str:
@@ -356,7 +475,7 @@ def _decimal(values: np.ndarray) -> np.ndarray:
 
 
 def read_stream(path: str | Path) -> StreamFile:
-    return _parse(Path(path).read_bytes())
+    return _read_file(path, _parse)
 
 
 def _vertex_color(lineno: int, parts: list[str]) -> tuple[int, int]:
@@ -365,9 +484,10 @@ def _vertex_color(lineno: int, parts: list[str]) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _coloring(data: bytes) -> PartialColoring:
-    """The coloring parser; palette is the largest color present."""
-    vertices, colors = _table(_lf(data), 0, 0, 0, _vertex_color)
+def _coloring(blocks: Iterator[tuple[bytes, int]], size: int) -> PartialColoring:
+    """The coloring parser over `_blocks`; palette is the largest color
+    present."""
+    vertices, colors = _table(b"", 0, 0, 0, _vertex_color, blocks, size)
     n = colors.shape[0]
     if not n:
         raise StreamFormatError("empty coloring file")
@@ -386,7 +506,7 @@ def _coloring(data: bytes) -> PartialColoring:
 
 
 def loads_coloring(text: str) -> PartialColoring:
-    return _coloring(text.encode("utf-8", "surrogatepass"))
+    return _read_text(text, _coloring)
 
 
 def dumps_coloring(coloring: PartialColoring) -> str:
@@ -402,4 +522,4 @@ def dumps_coloring(coloring: PartialColoring) -> str:
 
 
 def read_coloring(path: str | Path) -> PartialColoring:
-    return _coloring(Path(path).read_bytes())
+    return _read_file(path, _coloring)

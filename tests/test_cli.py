@@ -5,6 +5,7 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import cli, engine, errors
+from streamcolor import cli, engine, errors, streamio
 from streamcolor.cli import main
 
 TRIANGLE = "n 3\ndelta 2\n+ 1 2\n+ 2 3\n+ 1 3\n"
@@ -111,6 +112,57 @@ def test_color_then_verify_roundtrip(tmp_path, capsys):
                        "--coloring", str(coloring))
     assert code == 0
     assert json.loads(out)["proper"] is True
+
+
+_CLI = "import sys; from streamcolor.cli import main; sys.exit(main())"
+
+
+def _child(*argv, stdin: bytes):
+    """The CLI run as a child process with `stdin` on a pipe."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-c", _CLI, *argv], input=stdin, capture_output=True, env=env
+    )
+
+
+def test_color_and_verify_read_a_pipe_on_dev_stdin(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    coloring = tmp_path / "c.txt"
+    # more than one read of the block reader, and no size to go by
+    run(capsys, "generate", "--n", "6000", "--delta", "8", "--seed", "3", "--out", str(stream))
+    assert stream.stat().st_size > 2 << 16
+    code, _, _ = run(capsys, "color", "--in", str(stream), "--out", str(coloring))
+    assert code == 0
+    piped = _child("color", "--in", "/dev/stdin", stdin=stream.read_bytes())
+    assert (piped.returncode, piped.stderr) == (0, b"")
+    assert piped.stdout == coloring.read_bytes()
+    for flags, piped_file in (
+        (("--in", "/dev/stdin", "--coloring", str(coloring)), stream),
+        (("--in", str(stream), "--coloring", "/dev/stdin"), coloring),
+    ):
+        piped = _child("verify", *flags, stdin=piped_file.read_bytes())
+        assert piped.returncode == 0
+        assert json.loads(piped.stdout)["proper"] is True
+
+
+def test_failed_read_names_its_file(tmp_path, capsys):
+    stream = tmp_path / "s.txt"
+    stream.write_text(TRIANGLE)
+    real_open = open
+
+    def failing_open(path, mode):
+        file = real_open(path, mode)
+        broken = mock.MagicMock()
+        broken.__enter__.return_value = broken
+        broken.__exit__.side_effect = lambda *exc: file.close()
+        broken.fileno.return_value = file.fileno()
+        broken.read.side_effect = OSError(errno.EIO, os.strerror(errno.EIO))
+        return broken
+
+    with mock.patch.object(streamio, "open", failing_open, create=True):
+        code, _, err = run(capsys, "color", "--in", str(stream))
+    assert code == errors.UsageError.exit_code
+    assert err == f"error: input/output error: {stream}\n"
 
 
 def test_color_iterative_alg(tmp_path, capsys):

@@ -179,8 +179,9 @@ def test_int32_and_int64_tables_give_one_output(data):
         lambda src: two_pass_unknown_delta(src, dynamic=dynamic),
     ):
         wide = _run_recording_storage(colorer, StreamSource(n, _with_dtype(updates, np.int64)))
-        narrow = _run_recording_storage(colorer, StreamSource(n, _with_dtype(updates, np.int32)))
-        assert narrow == wide
+        for dtype in (np.int16, np.int32):
+            narrow = _run_recording_storage(colorer, StreamSource(n, _with_dtype(updates, dtype)))
+            assert narrow == wide
 
 
 @pytest.mark.parametrize(
@@ -198,12 +199,13 @@ def test_int32_and_int64_tables_give_one_output_over_many_blocks(colorer):
     sf = generate_stream(2000, 300, seed=1)
     assert len(sf.updates) > 2 << 16
     wide = _run_recording_storage(colorer, StreamSource(sf.n, _with_dtype(sf.updates, np.int64)))
-    narrow = _run_recording_storage(colorer, StreamSource(sf.n, _with_dtype(sf.updates, np.int32)))
     assert isinstance(wide[0], str)  # a coloring, not an error
-    assert narrow == wide
+    for dtype in (np.int16, np.int32):
+        narrow = _run_recording_storage(colorer, StreamSource(sf.n, _with_dtype(sf.updates, dtype)))
+        assert narrow == wide
 
 
-@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
 def test_degree_array_matches_signed_add_at(dtype):
     n, m = 50, 2000
     rng = np.random.default_rng(2)

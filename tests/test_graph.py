@@ -271,6 +271,23 @@ def test_validate_proper_triangle():
     assert validate_proper(g, good) == []
 
 
+def test_validators_over_many_blocks_match_a_per_edge_check():
+    # more edges than one block of the validators, some of them
+    # monochromatic in every block, some with an uncolored end
+    rng = np.random.default_rng(5)
+    n = 3000
+    pairs = rng.integers(1, n + 1, size=(60000, 2))
+    g = Graph(n, {tuple(sorted(p)) for p in pairs.tolist() if p[0] != p[1]})
+    assert g.m > 3 << 14
+    colors = rng.integers(1, 40, size=n).tolist()
+    want = [(u, v) for u, v in g.edges_sorted() if colors[u - 1] == colors[v - 1]]
+    assert len(want) > 100
+    assert validate_proper(g, PartialColoring(n, 40, colors)) == want
+    partial = [None if v % 7 == 0 else c for v, c in enumerate(colors, 1)]
+    want = [(u, v) for u, v in want if u % 7 and v % 7]
+    assert validate_partial(g, PartialColoring(n, 40, partial)) == want
+
+
 def test_validate_proper_requires_total():
     g = Graph(2, [(1, 2)])
     with pytest.raises(UncoloredVertexError):

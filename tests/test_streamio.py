@@ -1,7 +1,11 @@
 """Round-trip and validation tests for the text stream / coloring formats."""
 
 import contextlib
+import errno
+import io
+import os
 import re
+import threading
 from unittest import mock
 
 import numpy as np
@@ -145,12 +149,15 @@ def test_dumps_stream_matches_per_line_format(raw, delta):
     )
 )
 @example([(1, 1, (1 << 31) - 1), (-1, -(1 << 31), 7), (1, 0, -3)])
+@example([(1, 1, (1 << 15) - 1), (-1, -(1 << 15), 7), (1, 0, -3)])
 @settings(max_examples=60)
 def test_parsed_int32_table_round_trips(raw):
-    # the writer reads an int32 table's values, not its bits as uint64
+    # the writer reads an int16 or int32 table's values, not its bits as
+    # uint64; the table is int16 while every value fits
     text = "n 7\n" + "".join(f"{'+' if s == 1 else '-'} {u} {v}\n" for s, u, v in raw)
     sf = loads_stream(text)
-    assert sf.updates.us.dtype == np.int32
+    short = all(-(1 << 15) <= x < 1 << 15 for row in raw for x in row)
+    assert sf.updates.us.dtype == (np.int16 if short else np.int32)
     assert dumps_stream(sf.n, sf.updates) == text
 
 
@@ -462,8 +469,8 @@ def test_updates_view_is_sized_and_indexed():
     sf = loads_stream(SAMPLE)
     assert len(sf.updates) == 4
     assert sf.updates[2] == EdgeUpdate(-1, 1, 2)
-    # the parsed table is int32 while every value fits
-    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int32
+    # the parsed table is int16 while every value fits
+    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int16
     assert not sf.updates.us.flags.writeable
 
 
@@ -494,6 +501,40 @@ def test_vertex_past_int32_in_a_later_block_widens_the_table(late):
     with pytest.raises(StreamFormatError) as got:
         loads_stream(text + "+ 2 x\n")
     assert str(got.value) == f"line {_FILLER_LINES + 4}: cannot parse '+ 2 x'"
+
+
+def test_vertex_at_int16_max_keeps_the_table_int16():
+    sf = loads_stream(f"n 3\n{_FILLER}+ 1 {2**15 - 1}\n- {-(2**15)} 2\n")
+    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int16
+    assert sf.updates[-2] == EdgeUpdate(1, 1, 2**15 - 1)
+    assert sf.updates[-1] == EdgeUpdate(-1, -(2**15), 2)
+
+
+# a bulk line, then lines that go through the per-line rule
+@pytest.mark.parametrize("late", ["+ 1 32768", "+\t1 32768", "- -32769 3"])
+def test_vertex_past_int16_in_a_later_block_widens_the_table(late):
+    text = f"n 3\n{_FILLER}{late}\n+ 2 3\n"
+    sf = loads_stream(text)
+    assert sf.updates.signs.dtype == sf.updates.us.dtype == sf.updates.vs.dtype == np.int32
+    sign, u, v = late.split()
+    assert len(sf.updates) == _FILLER_LINES + 2
+    assert sf.updates[0] == EdgeUpdate(1, 1, 2)
+    assert sf.updates[-2] == EdgeUpdate(1 if sign == "+" else -1, int(u), int(v))
+    assert sf.updates[-1] == EdgeUpdate(1, 2, 3)
+    # lines after the widening keep their numbers
+    with pytest.raises(StreamFormatError) as got:
+        loads_stream(text + "+ 2 x\n")
+    assert str(got.value) == f"line {_FILLER_LINES + 4}: cannot parse '+ 2 x'"
+
+
+def test_table_climbs_the_ladder_block_by_block():
+    text = f"n 3\n{_FILLER}+ 1 32768\n{_FILLER}+ 1 {2**31}\n{_FILLER}"
+    sf = loads_stream(text)
+    assert sf.updates.us.dtype == sf.updates.vs.dtype == np.int64
+    assert len(sf.updates) == 3 * _FILLER_LINES + 2
+    assert sf.updates[_FILLER_LINES] == EdgeUpdate(1, 1, 32768)
+    assert sf.updates[2 * _FILLER_LINES + 1] == EdgeUpdate(1, 1, 2**31)
+    assert sf.updates[-1] == EdgeUpdate(1, 1, 2)
 
 
 def test_number_past_int64_gives_object_dtype():
@@ -642,3 +683,225 @@ def test_dumps_coloring_matches_per_line_format(colors):
         with mock.patch.object(streamio, "_LINES", lines):
             assert dumps_coloring(c) == text
     assert loads_coloring(text) == c
+
+
+# Files are read a block of _BLOCK_BYTES bytes at a time, and the tests
+# below read them through `read_stream` and `read_coloring`.  Their oracle
+# is the per-line reader on the whole text, and for bytes that are not
+# UTF-8 the message of a whole-file decode, which names the line of the
+# first bad byte before any parse error.
+
+
+def _utf8_oracle(data: bytes) -> str | None:
+    """The message a whole-file decode gives for `data`, or None."""
+    try:
+        data.decode("utf-8", "surrogatepass")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start].decode("utf-8", "surrogatepass")
+        return f"line {len((head + 'x').splitlines())}: not UTF-8 text"
+    return None
+
+
+def _stream_oracle(data: bytes):
+    message = _utf8_oracle(data)
+    if message:
+        return message
+    try:
+        return _loads_stream_per_line(data.decode("utf-8", "surrogatepass"))
+    except StreamFormatError as exc:
+        return str(exc)
+
+
+def _coloring_oracle(data: bytes):
+    return _utf8_oracle(data) or _read_coloring(
+        _loads_coloring_per_line, data.decode("utf-8", "surrogatepass")
+    )
+
+
+def _read_stream_file(path, block=None):
+    """(n, delta, updates) that `read_stream` reads from `path` in blocks
+    of `block` bytes (by default _BLOCK_BYTES), or its error's message."""
+    with _tiny(block) if block else contextlib.nullcontext():
+        try:
+            sf = read_stream(path)
+        except StreamFormatError as exc:
+            return str(exc)
+    return sf.n, sf.delta, tuple(sf.updates)
+
+
+def _read_coloring_file(path, block=None):
+    with _tiny(block) if block else contextlib.nullcontext():
+        return _read_coloring(read_coloring, path)
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "input.txt"
+
+
+def _with_bad_byte(data: bytes, at: int | None) -> bytes:
+    return data if at is None else data[:at] + b"\xff" + data[at:]
+
+
+@pytest.mark.parametrize("block", [None, *_TINY_BLOCKS])
+@given(text=_stream_texts(), bad=st.one_of(st.none(), st.integers(0, 120)))
+@example(text=_ORACLE_EXAMPLES[1], bad=None)
+@example(text=_ORACLE_EXAMPLES[5], bad=None)
+@example(text="n 3\r\n+ 1 x\r\n+ 1 2\r\n", bad=18)
+@example(text="n 3\r+ 1 2\x0b+ 2 3\n", bad=12)
+@settings(max_examples=150, deadline=None)
+def test_read_stream_matches_per_line_oracle(scratch_file, block, text, bad):
+    assume(not re.search(r"[\d_]{19,}", text))
+    data = _with_bad_byte(text.encode("utf-8", "surrogatepass"), bad)
+    scratch_file.write_bytes(data)
+    assert _read_stream_file(scratch_file, block) == _stream_oracle(data)
+
+
+@pytest.mark.parametrize("block", [None, *_TINY_BLOCKS])
+@given(text=_coloring_texts(), bad=st.one_of(st.none(), st.integers(0, 120)))
+@settings(max_examples=150, deadline=None)
+def test_read_coloring_matches_per_line_oracle(scratch_file, block, text, bad):
+    data = _with_bad_byte(text.encode("utf-8", "surrogatepass"), bad)
+    scratch_file.write_bytes(data)
+    assert _read_coloring_file(scratch_file, block) == _coloring_oracle(data)
+
+
+def test_crlf_at_a_raw_block_edge_through_files(tmp_path):
+    # some read ends between the CR and the LF of a line at most sizes
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(b"n 30\r\n+ 1 2\r\n- 1 2\r\n+ 10 20\r\n")
+    for block in range(1, 40):
+        got = _read_stream_file(path, block)
+        assert got == (30, None, ((1, 1, 2), (-1, 1, 2), (1, 10, 20))), block
+    path.write_bytes(b"1 3\r\n2 1\r\n3 2\r\n")
+    for block in range(1, 20):
+        assert _read_coloring_file(path, block) == (3, 3, (3, 1, 2)), block
+
+
+def test_every_break_reads_alike_through_files(tmp_path):
+    # lone CR, VT, FF, NEL, LS and PS, then a bad line: line 7
+    text = "n 3\r+ 1 2\x0b- 1 2\x0c+ 2 3\x85+ 1 3 - 1 3 + 1 x\n"
+    path = tmp_path / "breaks.txt"
+    path.write_bytes(text.encode())
+    for block in [None, *_TINY_BLOCKS]:
+        assert _read_stream_file(path, block) == "line 7: cannot parse '+ 1 x'"
+    path.write_bytes(text.rsplit(" ", 1)[0].encode())
+    want = (3, None, ((1, 1, 2), (-1, 1, 2), (1, 2, 3), (1, 1, 3), (-1, 1, 3)))
+    for block in [None, *_TINY_BLOCKS]:
+        assert _read_stream_file(path, block) == want
+    path.write_bytes("1 2\r2 1\x0b3 2\x0c4 1\x855 2 6 1 7 2".encode())
+    for block in [None, *_TINY_BLOCKS]:
+        assert _read_coloring_file(path, block) == (7, 2, (2, 1, 2, 1, 2, 1, 2))
+
+
+# more than one read of filler lines
+_PAIRS = "+ 1 2\n- 1 2\n" * (streamio._BLOCK_BYTES // 12 + 100)
+_PAIR_LINES = _PAIRS.count("\n")
+
+
+def test_bad_byte_in_a_later_block_is_named_by_its_line(tmp_path):
+    path = tmp_path / "late.txt"
+    path.write_bytes(f"n 3\n{_PAIRS}".encode() + b"# \xff\n+ 2 3\n")
+    message = f"line {_PAIR_LINES + 2}: not UTF-8 text"
+    assert _utf8_oracle(path.read_bytes()) == message
+    assert _read_stream_file(path) == message
+    # named before a parse error in an earlier block, as a whole-file
+    # decode names it, and after CR breaks that shift the line count
+    path.write_bytes(f"n 3\r+ 1 x\r{_PAIRS}".encode() + b"\xff\n")
+    assert _read_stream_file(path) == _utf8_oracle(path.read_bytes())
+    assert _read_stream_file(path) == f"line {_PAIR_LINES + 3}: not UTF-8 text"
+    colors = "".join(f"{v} 1\n" for v in range(1, _PAIR_LINES + 1))
+    path.write_bytes(colors.encode() + b"\xff 1\n")
+    assert _read_coloring_file(path) == f"line {_PAIR_LINES + 1}: not UTF-8 text"
+
+
+def test_line_longer_than_a_block(tmp_path):
+    path = tmp_path / "long.txt"
+    comment = "#" * (2 * streamio._BLOCK_BYTES + 3)
+    path.write_bytes(f"n 3\n{comment}\n+ 1 2\n{comment}\n+ 2 3".encode())
+    assert _read_stream_file(path) == (3, None, ((1, 1, 2), (1, 2, 3)))
+    path.write_bytes(f"n 3\n+ 1 {'2' * (streamio._BLOCK_BYTES + 5)}\n".encode())
+    got = _read_stream_file(path)
+    assert got.startswith("line 2: cannot parse '+ 1 222")
+
+
+def test_last_line_without_a_break_through_files(tmp_path):
+    path = tmp_path / "tail.txt"
+    for data in (f"n 3\n{_PAIRS}+ 2 3", f"n 3\r\n+ 1 2\r\n- 1 2", "n 3\n+ 1 2\n+ 1 x"):
+        path.write_bytes(data.encode())
+        for block in [None, *_TINY_BLOCKS]:
+            assert _read_stream_file(path, block) == _stream_oracle(data.encode()), block
+
+
+def _through_a_pipe(data: bytes, read):
+    """read(path) of a pipe that a thread writes `data` into."""
+    r, w = os.pipe()
+
+    def write():
+        with open(w, "wb") as end:
+            end.write(data)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        return read(f"/dev/fd/{r}")
+    finally:
+        writer.join()
+        os.close(r)
+
+
+def test_pipe_reads_as_a_file_does(tmp_path):
+    # a pipe has no size, so the table starts with room for one row and
+    # grows; more rows than the first estimate
+    text = f"n 3\ndelta 2\n{_PAIRS}+ 1 32768\n"
+    sf = _through_a_pipe(text.encode(), read_stream)
+    assert sf == loads_stream(text)
+    assert len(sf.updates) == _PAIR_LINES + 1
+    assert sf.updates.us.dtype == np.int32
+    colors = "".join(f"{v} {v % 3 + 1}\n" for v in range(1, 20001))
+    assert _through_a_pipe(colors.encode(), read_coloring) == loads_coloring(colors)
+
+
+def test_size_below_the_rows_grows_the_table():
+    data = f"n 3\n{_PAIRS}".encode()
+    sf = streamio._read(io.BytesIO(data).read, 1, streamio._parse)
+    assert len(sf.updates) == _PAIR_LINES
+    assert sf == loads_stream(data.decode())
+
+
+def test_table_holds_only_its_rows():
+    # the table's room past its rows is given back
+    sf = loads_stream(f"n 3\n{_PAIRS}")
+    table = sf.updates.us.base
+    assert table is sf.updates.signs.base
+    assert table.nbytes == 3 * 2 * _PAIR_LINES
+
+
+class _FailingReads:
+    """A file opened for reading whose reads fail as a bad disk's do."""
+
+    def __init__(self, path, mode):
+        self.file = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.file.close()
+
+    def fileno(self):
+        return self.file.fileno()
+
+    def read(self, size):
+        raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+
+def test_failed_read_names_the_file(tmp_path):
+    path = tmp_path / "s.txt"
+    path.write_text(SAMPLE)
+    with mock.patch.object(streamio, "open", _FailingReads, create=True):
+        for read in (read_stream, read_coloring):
+            with pytest.raises(OSError) as got:
+                read(path)
+            assert got.value.errno == errno.EIO
+            assert got.value.filename == str(path)
