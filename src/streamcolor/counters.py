@@ -34,13 +34,16 @@ taken as no base, so the iterative colorer's first round, whose base is
 all zero, sweeps the edge arrays as given and builds no endpoint colors
 or masks.
 
-The sweep reduces every product in preallocated blocks of 2^16 cells,
-as t - (t // p) * p, on int32 while p^2 < 2^31 and on int64 above.  A
-block spans at most 2^12 columns, and as many rows of D as fill it, so
-its per-column temporaries stay small.  The edge arrays are read in the
-dtype they are held in, int16, int32 or int64, and a base's endpoint
-colors and masks are formed 2^14 edges at a time, so no temporary grows
-with the batch beyond the edges it selects.
+A bank is one fold over its batch, graph.BLOCK updates at a time, read
+in the dtype they are held in (int16, int32 or int64): each block's end
+colors over the base are gathered, its fully assigned edges counted and
+its free pairs and mixed columns swept, so no temporary grows with the
+batch.  The free pairs' hits gather in one vector, mirrored once at the
+end.  The sweep reduces every product as t - (t // p) * p, on int32
+while p^2 < 2^31 and on int64 above, in work buffers that the bank
+builds once, with its inverse table, and shares between its insertions
+and deletions.  Each step covers as many rows of D as fill the buffers:
+at most 2^16 cells, and at most the ceil(p / k) rows there are.
 """
 
 from __future__ import annotations
@@ -49,22 +52,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import graph
 from .errors import NegativeCounterError
 from .graph import PartialColoring, normalize_edge
 from .hashfam import ColoringFamily
 
-# elements per sweep block.  On a 2-vCPU Xeon VM with numpy 2.4.6, at
-# n = 8000, delta = 32, a two-pass bank took 0.08-0.09 s with blocks of
+# cells per sweep step, at most.  On a 2-vCPU Xeon VM with numpy 2.4.6, at
+# n = 8000, delta = 32, a two-pass bank took 0.08-0.09 s with steps of
 # 2^16 against 0.10-0.11 s with 2^14 or 2^18.  Residues are t - (t // p) * p
 # because numpy divides an array by a scalar much faster with `//` than
 # with `%`: 0.39 against 2.41 ns per int32 element, 0.89 against 3.96 ns
 # per int64 element.
 _CHUNK_ELEMS = 1 << 16
-# columns per sweep block, whose per-column temporaries are held for all
-# of the block's rows; a block of 2^12 columns takes 2^4 rows a step
-_COLUMNS = 1 << 12
-# edges per block of a base's endpoint colors and masks
-_GATHER = 1 << 14
 
 
 def _modinv_table(p: int, upto: int) -> np.ndarray:
@@ -86,11 +85,20 @@ def _modinv_table(p: int, upto: int) -> np.ndarray:
     return inv
 
 
+def _work(p: int, k: int, n: int, columns: int) -> tuple:
+    """The sweep's inverse table, in the sweep's dtype, its D values and
+    its work buffers, sized for sweeps of at most `columns` columns."""
+    dtype = np.int32 if p * p < 1 << 31 else np.int64
+    inv = _modinv_table(p, n).astype(dtype, copy=False)
+    dvals = np.arange(0, p, k, dtype=dtype)
+    size = columns * min(max(1, _CHUNK_ELEMS // columns), dvals.size)
+    return inv, dvals, (*(np.empty(size, dtype=dtype) for _ in range(3)), np.empty(size, bool))
+
+
 def _sweep(
     counts: np.ndarray,
     p: int,
-    k: int,
-    inv: np.ndarray,
+    work: tuple,
     us: np.ndarray,
     vs: np.ndarray,
     colors: np.ndarray | None = None,
@@ -99,52 +107,41 @@ def _sweep(
     D = 0, k, 2k, ... < p, member a = D * (u - v)^-1 + r mod p counts when
     a * u mod p >= D.  The start r is 0 for a free pair; a mixed column
     (f, 0) has r = (c - 1) * f^-1 mod p for its fixed end's color c in
-    `colors`.  The sweep runs in the dtype of `inv`, the inverse table."""
+    `colors`.  `work` is what `_work` built, for at least us.size columns."""
     if us.size == 0:
         return
-    dtype = inv.dtype
-    dvals = np.arange(0, p, k, dtype=dtype)
-    m = us.size
-    width = min(m, _COLUMNS)
-    size = width * min(max(1, _CHUNK_ELEMS // width), dvals.size)
-    a_buf, q_buf, x_buf = (np.empty(size, dtype=dtype) for _ in range(3))
-    hit_buf = np.empty(size, dtype=bool)
-    for c0 in range(0, m, width):
-        w = min(width, m - c0)
-        # (u - v)^-1 mod p, the start and u for this block of columns
-        ucol = us[c0 : c0 + w]
-        diff = ucol - vs[c0 : c0 + w]
-        wcol = inv[np.abs(diff)]
-        wcol = np.where(diff > 0, wcol, (p - wcol) % p)
-        ucol = ucol.astype(dtype, copy=False)
+    inv, dvals, bufs = work
+    w = us.size
+    # (u - v)^-1 mod p, the start and u for each column
+    diff = us - vs
+    wcol = inv[np.abs(diff)]
+    wcol = np.where(diff > 0, wcol, (p - wcol) % p)
+    ucol = us.astype(inv.dtype, copy=False)
+    if colors is not None:
+        # (c - 1) * wcol < k * p <= p^2 fits the dtype
+        rcol = colors.astype(inv.dtype) - 1
+        rcol *= wcol
+        rcol %= p
+    rows = bufs[0].size // w
+    for r0 in range(0, dvals.size, rows):
+        d = dvals[r0 : r0 + rows, None]
+        a, q, x, hit = (buf[: d.size * w].reshape(d.size, w) for buf in bufs)
+        # a = d * wcol + r mod p; the sum is below p^2
+        np.multiply(d, wcol, out=a)
         if colors is not None:
-            # (c - 1) * wcol < k * p <= p^2 fits the dtype
-            rcol = colors[c0 : c0 + w].astype(dtype) - 1
-            rcol *= wcol
-            rcol %= p
-        rows = max(1, _CHUNK_ELEMS // w)
-        for r0 in range(0, dvals.size, rows):
-            d = dvals[r0 : r0 + rows, None]
-            cells = d.size * w
-            a, q, x, hit = (
-                buf[:cells].reshape(d.size, w) for buf in (a_buf, q_buf, x_buf, hit_buf)
-            )
-            # a = d * wcol + r mod p; the sum is below p^2
-            np.multiply(d, wcol, out=a)
-            if colors is not None:
-                a += rcol
-            np.floor_divide(a, p, out=q)
-            q *= p
-            a -= q
-            # q = a * u mod p, the member's residue at u
-            np.multiply(a, ucol, out=q)
-            np.floor_divide(q, p, out=x)
-            x *= p
-            q -= x
-            np.greater_equal(q, d, out=hit)
-            # about half of a free pair's mask is set, at random; on such a
-            # mask np.compress gathers 4x faster than a[hit]
-            counts += np.bincount(np.compress(hit.ravel(), a.ravel()), minlength=p)
+            a += rcol
+        np.floor_divide(a, p, out=q)
+        q *= p
+        a -= q
+        # q = a * u mod p, the member's residue at u
+        np.multiply(a, ucol, out=q)
+        np.floor_divide(q, p, out=x)
+        x *= p
+        q -= x
+        np.greater_equal(q, d, out=hit)
+        # about half of a free pair's mask is set, at random; on such a
+        # mask np.compress gathers 4x faster than a[hit]
+        counts += np.bincount(np.compress(hit.ravel(), a.ravel()), minlength=p)
 
 
 def collision_index_counts(
@@ -156,60 +153,63 @@ def collision_index_counts(
 ) -> np.ndarray:
     """Signed monochromatic-edge count per member for a batch of edges
     with signs +1 and -1, read in the dtype their arrays have."""
-    us, vs, insert = np.asarray(us), np.asarray(vs), np.asarray(signs) > 0
-    if insert.all():
-        return _unsigned_counts(family, base_colors, us, vs)
+    us, vs, signs = np.asarray(us), np.asarray(vs), np.asarray(signs)
+    # colors are below p, so a palette above p acts as p
+    p, k = family.p, min(family.palette, family.p)
+    # a block of updates gives each sweep at most graph.BLOCK columns; with
+    # a palette of 1 nothing is swept
+    columns = min(us.size, graph.BLOCK) or 1
+    work = None if k == 1 else _work(p, k, family.n, columns)
+    # a base with no assigned vertex leaves every edge free
+    if base_colors is not None and not base_colors.any():
+        base_colors = None
+    # an insert-only batch is checked without an m-byte mask of its signs,
+    # which raised `color` children's peak RSS through heap fragmentation
+    if signs.min(initial=1) > 0:
+        return _unsigned_counts(p, k, work, base_colors, us, vs)
     # the insertions' counts less the deletions', each an unsigned batch
+    insert = signs > 0
     delete = ~insert
-    return _unsigned_counts(family, base_colors, us[insert], vs[insert]) - _unsigned_counts(
-        family, base_colors, us[delete], vs[delete]
+    return _unsigned_counts(p, k, work, base_colors, us[insert], vs[insert]) - _unsigned_counts(
+        p, k, work, base_colors, us[delete], vs[delete]
     )
 
 
 def _unsigned_counts(
-    family: ColoringFamily, base_colors: np.ndarray | None, us: np.ndarray, vs: np.ndarray
+    p: int,
+    k: int,
+    work: tuple | None,
+    base_colors: np.ndarray | None,
+    us: np.ndarray,
+    vs: np.ndarray,
 ) -> np.ndarray:
-    """Monochromatic-edge count per member for a batch of insertions."""
-    # colors are below p, so a palette above p acts as p
-    p, k = family.p, min(family.palette, family.p)
+    """Monochromatic-edge count per member for a batch of insertions,
+    folded over its blocks of updates."""
     counts = np.zeros(p, dtype=np.int64)
-    # with no base, or one with no assigned vertex, every edge is free
-    pairs_u, pairs_v, free, fixed = us, vs, us[:0], us[:0]
-    if base_colors is not None and base_colors.any():
-        # the free pairs' ends, the mixed pairs' free ends and fixed colors
-        parts = ([us[:0]], [vs[:0]], [us[:0]], [base_colors[:0]])
-        for at in range(0, us.size, _GATHER):
-            u, v = us[at : at + _GATHER], vs[at : at + _GATHER]
+    half = np.zeros(p, dtype=np.int64)
+    # the mixed pairs' free ends and fixed colors
+    free = fixed = us[:0]
+    for u, v in graph.blocks(us, vs):
+        if base_colors is not None:
             cu, cv = base_colors[u], base_colors[v]
             # fully assigned edges hit every member or none
             counts += np.count_nonzero((cu == cv) & (cu > 0))
-            neither = (cu == 0) & (cv == 0)
             # one end free, the other fixed to a color some member gives
             mixed = ((cu == 0) != (cv == 0)) & (cu <= k) & (cv <= k)
-            cols = (
-                u[neither],
-                v[neither],
-                np.where(cu[mixed] == 0, u[mixed], v[mixed]),
-                cu[mixed] + cv[mixed],
-            )
-            for part, col in zip(parts, cols):
-                part.append(col)
-            del cu, cv, neither, mixed  # before the next block's gathers
-        pairs_u, pairs_v, free, fixed = (np.concatenate(part) for part in parts)
-    if k == 1:
-        # every member colors every free vertex 1
-        counts += pairs_u.size + free.size
-        return counts
-    inv = _modinv_table(p, family.n)
-    inv = inv.astype(np.int32 if p * p < 1 << 31 else np.int64, copy=False)
-    half = np.zeros(p, dtype=np.int64)
-    _sweep(half, p, k, inv, pairs_u, pairs_v)
+            free, fixed = np.where(cu[mixed] == 0, u[mixed], v[mixed]), cu[mixed] + cv[mixed]
+            neither = (cu == 0) & (cv == 0)
+            u, v = u[neither], v[neither]
+        if work is None:
+            # every member colors every free vertex 1
+            counts += u.size + free.size
+            continue
+        _sweep(half, p, work, u, v)
+        # a mixed pair is the column (f, 0) with its start
+        _sweep(counts, p, work, free, np.broadcast_to(0, free.shape), fixed)
     counts += half
     if p % k != 0:
         # member a >= 1 also hits where member p - a did
         counts[1:] += half[:0:-1]
-    # a mixed pair is the column (f, 0) with its start
-    _sweep(counts, p, k, inv, free, np.broadcast_to(0, free.shape), fixed)
     return counts
 
 

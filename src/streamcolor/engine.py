@@ -72,6 +72,7 @@ from .graph import (
     Graph,
     PartialColoring,
     UpdateView,
+    blocks,
     greedy_extend,
     legal_final_edges,
 )
@@ -97,8 +98,6 @@ MAX_VERTEX_STATE_BYTES = 1 << 31
 # uncolored in the final pass) or a tenth marked, and at 17.0 bytes each
 # for 16 classes of 1250 vertices, all marked
 CANDIDATE_BYTES = 56
-# updates per block of the storage pass's keep mask
-_BLOCK = 1 << 14
 
 
 class StreamSource:
@@ -220,7 +219,7 @@ def _first_pass_checks(src: StreamSource, delta: int | None, dynamic: bool):
     graph, so dynamic streams may exceed delta transiently.
     """
     us, vs, signs = src.replay_arrays()
-    if not dynamic and bool((signs < 0).any()):
+    if not dynamic and signs.min(initial=0) < 0:
         raise IllegalUpdateError(
             "deletions present; insertion-only mode cannot process them"
         )
@@ -287,11 +286,8 @@ def _stored_subgraph(
     us, vs, signs = arrays
     # formed a block at a time, so no m-sized gather is held
     keep = np.empty(us.size, dtype=bool)
-    for at in range(0, us.size, _BLOCK):
-        u, v = us[at : at + _BLOCK], vs[at : at + _BLOCK]
-        np.logical_and(
-            classes[u] == classes[v], marked[u] | marked[v], out=keep[at : at + _BLOCK]
-        )
+    for u, v, out in blocks(us, vs, keep):
+        np.logical_and(classes[u] == classes[v], marked[u] | marked[v], out=out)
     us, vs = us[keep], vs[keep]
     if not dynamic:
         lo = np.minimum(us, vs, dtype=np.int64)

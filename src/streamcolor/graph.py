@@ -34,8 +34,12 @@ from .errors import (
 
 Edge = tuple[int, int]
 
-# updates or edges per block of the edge keys and of the validators
-_BLOCK = 1 << 14
+# updates or edges per block of every per-update loop: the edge keys, the
+# validators, the storage pass's keep mask and the counter bank, each of
+# which reads it through `blocks` or at call time.  On the seed-1
+# n = 2000, delta = 300 stream (150k updates) a `color` child peaked
+# 0.5-0.8 MB higher with 2^14, whose counter sweep steps span 4x the columns.
+BLOCK = 1 << 12
 # the largest vertex id whose edges key into one int64:
 # lo * (MAX_VERTEX + 1) + hi < 2^63 for 1 <= lo < hi <= MAX_VERTEX
 MAX_VERTEX = 3037000499
@@ -47,6 +51,12 @@ class EdgeUpdate(NamedTuple):
     sign: int
     u: int
     v: int
+
+
+def blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
+    """Views of the equal-length `arrays`, BLOCK entries at a time."""
+    for at in range(0, len(arrays[0]), BLOCK):
+        yield tuple(a[at : at + BLOCK] for a in arrays)
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -277,8 +287,7 @@ def _edge_keys(us: np.ndarray, vs: np.ndarray, base: int, dtype) -> np.ndarray:
     """The keys min(u, v) * base + max(u, v) in `dtype`, which must hold
     base^2 - 1, formed a block at a time, whatever the ends' dtype."""
     keys = np.empty(us.shape[0], dtype=dtype)
-    for at in range(0, keys.size, _BLOCK):
-        u, v, key = us[at : at + _BLOCK], vs[at : at + _BLOCK], keys[at : at + _BLOCK]
+    for u, v, key in blocks(us, vs, keys):
         np.minimum(u, v, out=key, casting="unsafe")
         key *= base
         key += np.maximum(u, v)
@@ -406,9 +415,9 @@ def _monochromatic(g: Graph, coloring: PartialColoring) -> list[Edge]:
     cols = coloring.array
     lo, hi = g.edge_arrays()
     mono = np.empty(lo.size, dtype=bool)
-    for at in range(0, lo.size, _BLOCK):
-        cu = cols[lo[at : at + _BLOCK]]
-        np.logical_and(cu == cols[hi[at : at + _BLOCK]], cu != 0, out=mono[at : at + _BLOCK])
+    for u, v, out in blocks(lo, hi, mono):
+        cu = cols[u]
+        np.logical_and(cu == cols[v], cu != 0, out=out)
     return list(zip(lo[mono].tolist(), hi[mono].tolist()))
 
 

@@ -5,11 +5,14 @@ itself checked against direct color evaluation, so the two
 implementations vouch for each other only through the slow literal one.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from streamcolor import counters
 from streamcolor.counters import (
     CounterBank,
     _modinv_table,
@@ -193,9 +196,9 @@ def test_int64_kernel_matches_mask_oracle(with_base):
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 def test_kernel_over_a_base_counts_as_its_small_batches_do(dtype):
-    # 150k signed edges, whose endpoint colors over the base are formed in
-    # blocks of 2^16 edges: the counts are linear in the edges, so they
-    # equal the sum over batches of 1000, whatever the arrays' dtype
+    # 150k signed edges, whose endpoint colors over the base are formed a
+    # graph.BLOCK of edges at a time: the counts are linear in the edges,
+    # so they equal the sum over batches of 1000, whatever the arrays' dtype
     fam = extension_family(400, 8)
     rng = np.random.default_rng(11)
     m = 150_000
@@ -211,6 +214,18 @@ def test_kernel_over_a_base_counts_as_its_small_batches_do(dtype):
     )
     got = collision_index_counts(fam, base_arr, *(a.astype(dtype) for a in (us, vs, signs)))
     assert (got == want).all()
+
+
+@pytest.mark.parametrize("palette, tables", [(1, 0), (3, 1)])
+def test_signed_bank_builds_one_inverse_table(palette, tables):
+    # the insertions and the deletions share it, and a palette of 1 sweeps
+    # nothing, so it builds none
+    fam = ColoringFamily(20, palette)
+    us, vs, signs = np.array([[1, 2, 3, 1], [5, 6, 7, 5], [1, 1, 1, -1]])
+    with mock.patch.object(counters, "_modinv_table", wraps=_modinv_table) as table:
+        got = collision_index_counts(fam, None, us, vs, signs)
+    assert table.call_count == tables
+    assert (got == collision_index_counts(fam, None, us[1:3], vs[1:3], signs[1:3])).all()
 
 
 @pytest.mark.parametrize("p, upto", [(2, 1), (13, 12), (8009, 8000), (50021, 50000)])

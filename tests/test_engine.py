@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from streamcolor import engine
+from streamcolor import engine, graph
+from streamcolor.counters import collision_index_counts
 from streamcolor.engine import (
     RunReport,
     StreamSource,
@@ -38,6 +39,7 @@ from streamcolor.graph import (
     validate_partial,
     validate_proper,
 )
+from streamcolor.hashfam import ColoringFamily
 from streamcolor.recovery import edge_encode
 from streamcolor.streamio import dumps_coloring
 
@@ -194,7 +196,7 @@ def test_int32_and_int64_tables_give_one_output(data):
     ids=["two-pass", "iterative", "unknown-delta"],
 )
 def test_int32_and_int64_tables_give_one_output_over_many_blocks(colorer):
-    # 150k updates, so the blocked passes take three blocks, and the
+    # 150k updates, so the blocked passes take many blocks, and the
     # iterative colorer's second round banks over a real base
     sf = generate_stream(2000, 300, seed=1)
     assert len(sf.updates) > 2 << 16
@@ -203,6 +205,67 @@ def test_int32_and_int64_tables_give_one_output_over_many_blocks(colorer):
     for dtype in (np.int16, np.int32):
         narrow = _run_recording_storage(colorer, StreamSource(sf.n, _with_dtype(sf.updates, dtype)))
         assert narrow == wide
+
+
+def _materialized(n, updates, coloring):
+    """The final graph's edge arrays and `coloring`'s monochromatic edges
+    on it, or the error `materialize` raised."""
+    try:
+        g = materialize(n, updates)
+    except StreamColorError as exc:
+        return type(exc), str(exc)
+    return [a.tolist() for a in g.edge_arrays()], validate_proper(g, coloring)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_block_size_changes_no_output(data):
+    # every per-update loop reads graph.BLOCK through graph.blocks, so one
+    # update per block, a few, and the whole stream in one must all agree
+    n = data.draw(st.integers(min_value=2, max_value=40))
+    dynamic = data.draw(st.booleans())
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    size = data.draw(st.integers(1, min(60, len(pairs))))
+    drawn = data.draw(st.lists(st.sampled_from(pairs), min_size=size, max_size=size, unique=True))
+    if dynamic:
+        # the same edges drawn again, so the stream deletes and reinserts
+        drawn = data.draw(st.lists(st.sampled_from(drawn), min_size=size, max_size=2 * size))
+    present, updates = set(), []
+    for u, v in drawn:
+        sign = -1 if (u, v) in present else 1
+        present ^= {(u, v)}
+        updates.append(EdgeUpdate(sign, *data.draw(st.sampled_from([(u, v), (v, u)]))))
+    if updates and data.draw(st.sampled_from([False, False, True])):
+        # an update repeated at once repeats its sign in its run: illegal
+        at = data.draw(st.integers(0, len(updates) - 1))
+        updates.insert(at, updates[at])
+    # a declared delta below the true degree is a degree violation, and one
+    # far above it leaves the iterative colorer rounds over a real base
+    delta = max(0, max_degree(Graph(n, present)) + data.draw(st.sampled_from([-1, 0, 0, 8])))
+    colors = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    coloring = PartialColoring(n, 3, colors)
+    colorers = (
+        lambda src: two_pass_coloring(src, delta, dynamic=dynamic),
+        lambda src: iterative_coloring(src, delta, dynamic=dynamic),
+        lambda src: two_pass_unknown_delta(src, dynamic=dynamic),
+    )
+    # a bank over a drawn base, which the colorers reach only on denser
+    # streams; colors past the palette are fixed ends no member gives
+    family = ColoringFamily(n, data.draw(st.sampled_from([1, 2, 5])))
+    base = [0] + data.draw(st.lists(st.integers(0, family.palette + 1), min_size=n, max_size=n))
+    view = UpdateView.of(updates)
+
+    def outputs():
+        return (
+            [_run_recording_storage(c, StreamSource(n, updates)) for c in colorers],
+            _materialized(n, updates, coloring),
+            collision_index_counts(family, np.array(base), view.us, view.vs, view.signs).tolist(),
+        )
+
+    want = outputs()
+    for block in (1, 7, len(updates) + 1):
+        with mock.patch.object(graph, "BLOCK", block):
+            assert outputs() == want
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int32, np.int64])
