@@ -32,7 +32,9 @@ from .engine import (
 )
 from .errors import ImproperOutputError, StreamColorError, UsageError
 from .generator import generate_stream
-from .graph import materialize, max_degree, validate_proper
+from .graph import (
+    UpdateView, keep_mask, legal_final_edges, materialize, max_degree, validate_proper
+)
 from .streamio import dumps_coloring, dumps_stream, read_coloring, read_stream
 
 # the lab is imported inside the lb-* commands only, so that generate,
@@ -314,12 +316,18 @@ def cmd_color(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """Checks the stream's legality, then replays only the updates of
+    monochromatic edges, which the storage rule keeps whole: their final
+    graph is the final graph's monochromatic edges."""
     sf = read_stream(args.input)
     coloring = read_coloring(args.coloring)
-    graph = materialize(sf.n, sf.updates)
+    signs, us, vs = sf.updates.signs, sf.updates.us, sf.updates.vs
+    legal_final_edges(sf.n, signs, us, vs, final=False)
     if coloring.n != sf.n:
         raise UsageError(f"coloring covers {coloring.n} vertices, stream has {sf.n}")
-    violations = validate_proper(graph, coloring)
+    keep = keep_mask(coloring.array, coloring.array != 0, us, vs)
+    kept = UpdateView(signs[keep], us[keep], vs[keep])
+    violations = validate_proper(materialize(sf.n, kept), coloring)
     payload = {
         "proper": not violations,
         "violation_count": len(violations),

@@ -29,15 +29,18 @@ two-pass colorer runs it once, over an empty base; the iterative colorer
 once per round.
 
 Every "store edges" phase (two-pass pass 2, each round's second pass,
-the iterative final pass) is one routine, `_stored_subgraph`, under one
-rule: keep the final edges whose ends have equal `classes` and at least
-one `marked` end.  A round passes the extension's colors as classes and
-marks every vertex; the final pass puts every vertex in one class and
-marks the uncolored ones.  Dynamic streams (insertions and deletions)
-store through a deterministic sparse-recovery sketch there, decoded over
-the same rule's pairs among the survivors' ends; decoded edge sets equal
-what an insertion-only run on the final graph would store, so outputs
-are identical byte for byte.
+the iterative final pass) is one routine, `_stored_subgraph`, under the
+storage rule `graph.keep_mask`: keep the final edges whose ends have
+equal `classes` and at least one `marked` end.  A round passes the
+extension's colors as classes and marks every vertex; the final pass
+puts every vertex in one class and marks the uncolored ones.  The rule
+keeps every update of an edge or none, so insertion-only streams take
+the kept updates' final edges through the legality rule, as `verify`
+does with the coloring as classes.  Dynamic streams (insertions and
+deletions) store through a deterministic sparse-recovery sketch there,
+decoded over the same rule's pairs among the survivors' ends; decoded
+edge sets equal what an insertion-only run on the final graph would
+store, so outputs are identical byte for byte.
 
 A pass is one replay of the stream; the StreamSource counts replays so
 reports cannot misstate pass usage.  Space accounting in reports covers
@@ -72,8 +75,8 @@ from .graph import (
     Graph,
     PartialColoring,
     UpdateView,
-    blocks,
     greedy_extend,
+    keep_mask,
     legal_final_edges,
 )
 from .hashfam import ColoringFamily, basic_family, extension_family
@@ -204,7 +207,9 @@ def _degree_array(n: int, us, vs, signs) -> np.ndarray:
     adding int32 signs to the int64 degrees took a casting path 30 times
     slower, and np.bincount would hold a second array of n + 1 counts."""
     deg = np.zeros(n + 1, dtype=np.int64)
-    deleted = signs < 0
+    # an insert-only stream takes no byte mask of its signs, as in
+    # `counters.collision_index_counts`: its deletions are an empty view
+    deleted = signs < 0 if signs.min(initial=1) < 0 else slice(0)
     for ends in (us, vs):
         np.add.at(deg, ends, 1)
         np.add.at(deg, ends[deleted], -2)
@@ -276,33 +281,27 @@ def _stored_subgraph(
     ends have equal `classes` and at least one `marked` end.  `classes`
     and `marked` are vertex-indexed; every class is positive.
 
-    Insertion-only streams keep those edges directly; dynamic streams feed
-    their updates to a sparse-recovery sketch of budget `sketch_k` and
+    The updates are kept by `graph.keep_mask`, which keeps every update
+    of an edge or none, so the kept updates are a legal stream whose
+    final edges are the stored ones.  Insertion-only streams take them
+    through the legality rule, `legal_final_edges`; dynamic streams feed
+    the kept updates to a sparse-recovery sketch of budget `sketch_k` and
     decode it over the same rule's pairs among the survivors' ends, the
-    vertices of positive net degree over the kept updates.  The rule keeps
-    every update of an edge or none, so each kept edge's net multiplicity
-    is its final one, and the candidates hold every survivor.
+    vertices of positive net degree over the kept updates.  Each kept
+    edge's net multiplicity is its final one, so the candidates hold
+    every survivor.
     """
-    us, vs, signs = arrays
-    # formed a block at a time, so no m-sized gather is held
-    keep = np.empty(us.size, dtype=bool)
-    for u, v, out in blocks(us, vs, keep):
-        np.logical_and(classes[u] == classes[v], marked[u] | marked[v], out=out)
-    us, vs = us[keep], vs[keep]
+    keep = keep_mask(classes, marked, arrays[0], arrays[1])
+    us, vs, signs = (a[keep] for a in arrays)
     if not dynamic:
-        lo = np.minimum(us, vs, dtype=np.int64)
-        hi = np.maximum(us, vs, dtype=np.int64)
-        order = np.lexsort((hi, lo))
-        return Graph._from_sorted_arrays(n, lo[order], hi[order])
-    signs = signs[keep]
+        return Graph._from_sorted_arrays(n, *legal_final_edges(n, signs, us, vs))
     sketch = SparseRecoverySketch.empty(n, sketch_k)
     sketch.update_batch(signs, us, vs)
     report.sketch_budgets.append(sketch_k)
     ends = _degree_array(n, us, vs, signs) > 0
     # decode lists the survivors sorted by encoding, i.e. by (lo, hi)
     decoded = sketch.decode(candidates=_candidates(np.where(ends, classes, 0), marked))
-    lo, hi = np.array(decoded, dtype=np.int64).reshape(-1, 2).T
-    return Graph._from_sorted_arrays(n, lo, hi)
+    return Graph._from_sorted_arrays(n, *np.array(decoded, dtype=np.int64).reshape(-1, 2).T)
 
 
 def _passes(

@@ -15,6 +15,15 @@ the stream parser fills them, or int64 as `UpdateView.of` builds them.
 `UpdateView` shows them as `EdgeUpdate` tuples.  `legal_final_edges` is
 the one stream-legality rule: the colorers and `materialize` both check
 streams through it.
+
+`keep_mask` is the one storage rule: keep an edge or update whose ends
+have equal classes and at least one marked end.  Every storage pass of
+the colorers keeps its updates by it, and the validators find the
+monochromatic edges by it, with the coloring as the classes and the
+colored vertices marked.  It keeps every update of an edge or none, so
+the updates it keeps from a legal stream form a legal stream whose final
+edges are exactly the kept final edges: `verify` replays only the
+updates of monochromatic edges.
 """
 
 from __future__ import annotations
@@ -57,6 +66,17 @@ def blocks(*arrays: np.ndarray) -> Iterator[tuple[np.ndarray, ...]]:
     """Views of the equal-length `arrays`, BLOCK entries at a time."""
     for at in range(0, len(arrays[0]), BLOCK):
         yield tuple(a[at : at + BLOCK] for a in arrays)
+
+
+def keep_mask(classes: np.ndarray, marked: np.ndarray, us, vs) -> np.ndarray:
+    """The storage rule over edges or updates (u, v), ends in either
+    order: True where classes[u] == classes[v] and marked[u] or marked[v].
+    `classes` and `marked` are vertex-indexed; formed a block at a time,
+    so the ends' gathers never span the stream."""
+    keep = np.empty(us.size, dtype=bool)
+    for u, v, out in blocks(us, vs, keep):
+        np.logical_and(classes[u] == classes[v], marked[u] | marked[v], out=out)
+    return keep
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -409,15 +429,12 @@ class PartialColoring:
 
 
 def _monochromatic(g: Graph, coloring: PartialColoring) -> list[Edge]:
-    """Edges of g whose endpoints share a color, sorted; uncolored
-    endpoints share none.  The ends' colors are gathered a block of
-    edges at a time."""
+    """Edges of g whose endpoints share a color, sorted: the storage rule
+    with the colors as classes and the colored vertices marked, so
+    uncolored endpoints share none."""
     cols = coloring.array
     lo, hi = g.edge_arrays()
-    mono = np.empty(lo.size, dtype=bool)
-    for u, v, out in blocks(lo, hi, mono):
-        cu = cols[u]
-        np.logical_and(cu == cols[v], cu != 0, out=out)
+    mono = keep_mask(cols, cols != 0, lo, hi)
     return list(zip(lo[mono].tolist(), hi[mono].tolist()))
 
 

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from streamcolor import cli, engine, errors, streamio
 from streamcolor.cli import main
+from streamcolor.graph import materialize, validate_proper
 
 TRIANGLE = "n 3\ndelta 2\n+ 1 2\n+ 2 3\n+ 1 3\n"
 
@@ -1104,3 +1105,145 @@ def test_traced_color_records_every_engine_span(tmp_path, capsys, flags):
     assert code == 0
     recorded = {name for name, *_ in tracer.spans}
     assert _ENGINE_SPANS <= recorded, _ENGINE_SPANS - recorded
+
+
+def test_traced_verify_records_its_graph_spans(tmp_path, capsys):
+    # verify still calls the names the benchmark's tracer patches in `cli`
+    spans = _spans_module()
+    stream = tmp_path / "s.txt"
+    stream.write_text(TRIANGLE)
+    coloring = tmp_path / "c.txt"
+    coloring.write_text("1 1\n2 1\n3 2\n")
+    tracer = spans.Tracer()
+    with spans.patched(tracer):
+        code = main(["verify", "--in", str(stream), "--coloring", str(coloring)])
+    capsys.readouterr()
+    assert code == 5
+    recorded = {name for name, *_ in tracer.spans}
+    assert {"graph.materialize", "graph.validate_proper"} <= recorded
+
+
+def _whole_graph_verify(args) -> int:
+    """The oracle for `verify`: the whole stream's final graph, then the n
+    check, then validate_proper over every final edge."""
+    sf = streamio.read_stream(args.input)
+    coloring = streamio.read_coloring(args.coloring)
+    g = materialize(sf.n, sf.updates)
+    if coloring.n != sf.n:
+        raise errors.UsageError(f"coloring covers {coloring.n} vertices, stream has {sf.n}")
+    violations = validate_proper(g, coloring)
+    payload = {
+        "proper": not violations,
+        "violation_count": len(violations),
+        "violations": [list(e) for e in violations[:10]],
+    }
+    return cli._verdict(args, payload, violations)
+
+
+def _verify_both_ways(stream_text: str, coloring_text: str):
+    """(exit code, stdout, stderr) of `verify` and of the oracle on one
+    stream and coloring file."""
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        stream, coloring = Path(tmp, "s.txt"), Path(tmp, "c.txt")
+        stream.write_text(stream_text)
+        coloring.write_text(coloring_text)
+        argv = ["verify", "--in", str(stream), "--coloring", str(coloring)]
+        for command in (cli.cmd_verify, _whole_graph_verify):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(cli._DISPATCH, {"verify": command}):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(argv)
+            outputs.append((code, out.getvalue(), err.getvalue()))
+    return outputs
+
+
+@st.composite
+def _signed_stream(draw):
+    """(n, stream text, final edges): a legal signed stream on n <= 40
+    vertices that toggles drawn pairs, with an illegal update put in one
+    time in four."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    updates, present = [], set()
+    for _ in range(draw(st.integers(0, 60)) if n > 1 else 0):
+        u = draw(st.integers(1, n))
+        v = draw(st.integers(1, n - 1))
+        v += v >= u
+        e = (min(u, v), max(u, v))
+        updates.append(("-" if e in present else "+", u, v))
+        present ^= {e}
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(updates)))
+        before = set()
+        for sign, u, v in updates[:at]:
+            before ^= {(min(u, v), max(u, v))}
+        absent = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+                  if (u, v) not in before]
+        kind = draw(st.sampled_from(["self", "range", "duplicate", "absent"]))
+        if kind == "duplicate" and before:
+            bad = ("+", *draw(st.sampled_from(sorted(before))))
+        elif kind in ("duplicate", "absent") and absent:
+            bad = ("-", *draw(st.sampled_from(absent)))
+        elif kind == "self":
+            w = draw(st.integers(1, n))
+            bad = ("+", w, w)
+        else:
+            bad = ("+", draw(st.integers(1, n)), draw(st.sampled_from([0, n + 1])))
+        updates.insert(at, bad)
+    text = f"n {n}\n" + "".join(f"{s} {u} {v}\n" for s, u, v in updates)
+    return n, text, present
+
+
+@st.composite
+def _drawn_coloring(draw, n: int, edges: set) -> str:
+    """A coloring file for n vertices: random, proper on `edges`, not
+    total, of the wrong n, or with colors past int64."""
+    kind = draw(st.sampled_from(["random", "proper", "not total", "wrong n", "past int64"]))
+    if kind == "proper":
+        cols = [0] * (n + 1)
+        for v in range(1, n + 1):
+            used = {cols[w] for e in edges if v in e for w in e if w != v}
+            cols[v] = min(set(range(1, n + 2)) - used)
+        cols = cols[1:]
+    else:
+        size = n + draw(st.sampled_from([-1, 1])) if kind == "wrong n" else n
+        cols = draw(st.lists(st.integers(1, 4), min_size=size, max_size=size))
+    if kind == "past int64":
+        big = 2**63 + draw(st.integers(0, 2))
+        cols = [big + c % 2 if draw(st.booleans()) else c for c in cols]
+    lines = [f"{v} {c}\n" for v, c in enumerate(cols, 1)]
+    if kind == "not total":
+        at = draw(st.integers(0, n - 1))
+        if draw(st.booleans()):
+            del lines[at]
+        else:
+            lines[at] = f"{at + 1} 0\n"
+    return "".join(lines)
+
+
+@given(st.data())
+@settings(max_examples=250, deadline=None)
+def test_verify_matches_the_whole_graph_oracle(data):
+    n, stream_text, final = data.draw(_signed_stream())
+    coloring_text = data.draw(_drawn_coloring(n, final))
+    new, old = _verify_both_ways(stream_text, coloring_text)
+    assert new == old
+
+
+@pytest.mark.parametrize(
+    "stream_text, coloring_text, expected",
+    [
+        # two ends of one color past int64, read into an object table
+        ("n 3\n+ 1 2\n+ 2 3\n", f"1 {2**63 + 1}\n2 {2**63 + 1}\n3 {2**63}\n", [[1, 2]]),
+        # a monochromatic edge deleted and inserted again is a violation;
+        # one deleted for good is not
+        ("n 4\n+ 1 2\n+ 1 3\n- 1 2\n- 3 1\n+ 2 1\n+ 3 4\n", "1 1\n2 1\n3 1\n4 2\n", [[1, 2]]),
+    ],
+    ids=["past int64", "deleted then reinserted"],
+)
+def test_verify_matches_the_oracle_on_examples(stream_text, coloring_text, expected):
+    new, old = _verify_both_ways(stream_text, coloring_text)
+    assert new == old
+    code, out, err = new
+    assert (code, json.loads(out)["violations"]) == (5, expected)
+    assert err == "".join("monochromatic edge: {} {}\n".format(*e) for e in expected)

@@ -23,6 +23,17 @@ verdict only, on int32 keys, so it peaks at its keys and a byte per
 update: 0.75 MB, 3 KB above them.  Building the final edges it threw
 away peaked at 2.40 MB.
 
+`verify` takes the stream's legality verdict on the narrowest keys,
+then replays only the updates the storage rule keeps with the coloring
+as classes: those of monochromatic edges.  On this stream, with the
+coloring `color --unknown-delta` writes or a random 40-coloring, its
+check peaks at its int32 verdict keys and a byte per update: 0.72 MiB
+(753.6 KB), 3.6 KB above them.  At n = 100,000, with 50k generated
+insertions, the keys are int64 and it peaks at 452.0 KB, 2.0 KB above
+8 bytes and a byte per update.  Building the whole final graph first,
+and checking each final edge, peaked at 2.50 and 2.93 MiB here and at
+0.93 MiB at n = 100,000.
+
 The iterative colorer's first counter bank, over an all-zero base, and
 a bank over a real base, the coloring of the iterative colorer's second
 round, are each bounded by an eighth of ALLOWANCE.  A bank is one fold
@@ -69,10 +80,12 @@ One f-string per line peaked at 81.5 to write, and a per-line reader at
 import importlib.util
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from streamcolor import cli
 from streamcolor.counters import CounterBank
 from streamcolor.engine import (
     CANDIDATE_BYTES,
@@ -164,6 +177,47 @@ def test_replay_holds_no_copy_of_the_stream(dense_stream):
     arrays, _, held = _traced(src.replay_arrays)
     assert arrays[0].size == 150000
     assert held < 1 << 20
+
+
+def _verify_peak(sf, coloring):
+    """`verify`'s exit code and the traced peak of its check, with the
+    stream and coloring already read."""
+    args = cli._parser().parse_args(["verify", "--quiet", "--in", "s", "--coloring", "c"])
+    with (
+        mock.patch.object(cli, "read_stream", lambda path: sf),
+        mock.patch.object(cli, "read_coloring", lambda path: coloring),
+        mock.patch("sys.stderr"),
+    ):
+        return _traced_peak(lambda: cli.cmd_verify(args))
+
+
+@pytest.mark.parametrize("proper", [True, False], ids=["proper", "random"])
+def test_verify_peak_is_its_verdict_keys(dense_stream, proper):
+    sf = read_stream(dense_stream)
+    m = len(sf.updates)
+    if proper:
+        coloring = two_pass_unknown_delta(StreamSource.from_stream_file(sf)).coloring
+    else:
+        colors = np.random.default_rng(1).integers(1, 41, sf.n + 1)
+        colors[0] = 0
+        coloring = PartialColoring(sf.n, 40, colors)
+    code, peak = _verify_peak(sf, coloring)
+    assert code == (0 if proper else 5)
+    # the int32 legality keys and a byte per update; no final edges
+    assert peak < 4 * m + m + SMALL_ALLOWANCE
+
+
+def test_verify_peak_at_int64_keys_is_its_verdict_keys():
+    n = 100_000
+    sf = generate_stream(n, 8, seed=1, edge_target=50_000)
+    m = len(sf.updates)
+    assert m > 45_000 and max(sf.updates.us.max(), sf.updates.vs.max()) > 46_340
+    colors = np.random.default_rng(1).integers(1, 41, n + 1)
+    colors[0] = 0
+    code, peak = _verify_peak(sf, PartialColoring(n, 40, colors))
+    assert code == 5
+    # vertices above 46340 key into int64: 8 bytes and a byte per update
+    assert peak < 8 * m + m + SMALL_ALLOWANCE
 
 
 def test_first_iterative_bank_peak_is_bounded(dense_stream):
